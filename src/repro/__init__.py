@@ -59,11 +59,31 @@ from repro.store import (
     default_engine,
     open_dataset,
 )
-from repro.serve import JoinService, start_server
-from repro.serve.schema import API_VERSION, WireError, dumps_wire, loads_wire
 from repro.topology import DE9IM, TopologicalRelation, most_specific_relation, relate
 
 __version__ = "1.2.0"
+
+#: Names served by :mod:`repro.serve`, imported on first access (PEP 562)
+#: so that CLI processes that never serve skip the daemon's HTTP stack.
+_SERVE_EXPORTS = {
+    "API_VERSION": "repro.serve.schema",
+    "WireError": "repro.serve.schema",
+    "dumps_wire": "repro.serve.schema",
+    "loads_wire": "repro.serve.schema",
+    "JoinService": "repro.serve.service",
+    "start_server": "repro.serve.service",
+}
+
+
+def __getattr__(name: str):
+    module = _SERVE_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "API_VERSION",

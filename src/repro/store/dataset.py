@@ -11,11 +11,17 @@ index directory::
     index_dir/
       manifest.json      format version, counts, extent, content hash,
                          source fingerprint, payload catalog
-      geometries.wkt     canonical geometry dump (one WKT per line,
-                         precision 17 — float64 round-trip exact)
+      geometries.npz     the geometry column (repro.geometry.column):
+                         float64 coordinates, int64 ring/part/geometry
+                         offsets, one kind byte per geometry, CRC-32
       april/
         g<order>_<ds>.npz  one payload per (grid order, dataspace),
                            written via raster.storage
+
+Every file is written atomically (temporary file, fsync, rename). A
+warm open reads the column's arrays, checks their CRC-32 and the
+manifest's content hash, and builds the polygons from coordinate
+slices — no text is parsed.
 
 A dataset may hold payloads for *several* grids: a join between two
 datasets runs on the padded union of their extents, so the first
@@ -24,23 +30,37 @@ persists that payload into the index — every later join against the
 same partner loads it and performs zero rasterisation.
 
 Identity is content-addressed: ``content_hash`` is the SHA-256 of the
-canonical WKT dump (stable across formatting and storage), and
-``source_sha256`` fingerprints the raw source file so a mutated source
-invalidates the index (the engine then rebuilds it).
+geometry column's canonical little-endian bytes (the same for a
+polygon list and for its saved copy), and ``source_sha256``
+fingerprints the raw source file so a mutated source invalidates the
+index (the engine then rebuilds it).
+
+Indexes of format versions 1 and 2 kept a ``geometries.wkt`` dump (one
+WKT per line, 17 significant digits) hashed as text. They still open:
+the dump is checked against its WKT hash and the index is then upgraded
+in place to version 3. A directory that cannot be written opens
+without the upgrade.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import io
 import json
 import logging
 import struct
 import time
+import zipfile
+import zlib
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from repro.geometry.box import Box
+from repro.geometry.column import GeometryColumn
 from repro.geometry.polygon import Polygon
 from repro.geometry.wkt import dumps_wkt, loads_wkt_geometry
 from repro.join.rtree import RTree
@@ -54,29 +74,46 @@ from repro.raster.storage import (
     load_approximations,
     save_approximations,
 )
-from repro.resilience.atomic import atomic_write_text
+from repro.resilience.atomic import atomic_write_bytes, atomic_write_text
 from repro.resilience.quarantine import QuarantineReport
 
 log = logging.getLogger("repro.resilience")
 
-#: Version 2 added the ``payload_codec`` field (PR 7); version-1
-#: manifests are still opened transparently and default to ``raw``,
-#: matching the payloads such indexes actually contain.
-MANIFEST_VERSION = 2
-_READABLE_MANIFEST_VERSIONS = (1, 2)
+#: Version 3 stores the geometry column (``geometries.npz``) and hashes
+#: its bytes; version 2 added the ``payload_codec`` field. Versions 1
+#: and 2 still open and are upgraded in place; version-1 manifests
+#: default to ``raw``, the payloads such indexes contain.
+MANIFEST_VERSION = 3
+_READABLE_MANIFEST_VERSIONS = (1, 2, 3)
 MANIFEST_NAME = "manifest.json"
-GEOMETRY_NAME = "geometries.wkt"
+GEOMETRY_NAME = "geometries.npz"
+#: The WKT dump of format versions 1 and 2.
+LEGACY_GEOMETRY_NAME = "geometries.wkt"
 APRIL_DIR = "april"
-#: repr-exact float64 round trip, so the canonical dump (and therefore
-#: the content hash) is stable across save/load cycles.
+#: Layout version of ``geometries.npz`` itself.
+_COLUMN_FILE_VERSION = 1
+#: repr-exact float64 round trip of the legacy WKT dump.
 _WKT_PRECISION = 17
 
 
 # ----------------------------------------------------------------------
 # hashing and keys
 # ----------------------------------------------------------------------
-def content_hash(geometries: Sequence) -> str:
-    """SHA-256 of the canonical WKT dump of ``geometries``."""
+def content_hash(geometries: Sequence | GeometryColumn) -> str:
+    """SHA-256 of the canonical column bytes of ``geometries``.
+
+    Accepts a :class:`~repro.geometry.column.GeometryColumn` (its cached
+    digest) or a sequence of polygons, which hashes through the same
+    column builder — so a dataset and its saved copy hash equal.
+    """
+    with trace("content_hash", count=len(geometries)):
+        if not isinstance(geometries, GeometryColumn):
+            geometries = GeometryColumn.from_geometries(geometries)
+        return geometries.content_hash()
+
+
+def _wkt_content_hash(geometries: Sequence) -> str:
+    """SHA-256 of the legacy WKT dump (format versions 1 and 2)."""
     h = hashlib.sha256()
     for g in geometries:
         h.update(dumps_wkt(g, precision=_WKT_PRECISION).encode("utf-8"))
@@ -151,8 +188,58 @@ def load_geometry_file(
     return areal
 
 
+def _column_crc32(column: GeometryColumn) -> int:
+    crc = 0
+    for chunk in column.canonical_chunks():
+        crc = zlib.crc32(chunk, crc)
+    return crc
+
+
+def _write_geometry_column(path: Path, column: GeometryColumn) -> None:
+    """Persist ``column`` as ``geometries.npz``, CRC-checked, atomically."""
+    buffer = io.BytesIO()
+    np.savez(
+        buffer,
+        version=np.int64(_COLUMN_FILE_VERSION),
+        crc32=np.uint32(_column_crc32(column)),
+        **column.arrays(),
+    )
+    atomic_write_bytes(path, buffer.getvalue())
+
+
+def _read_geometry_column(path: Path) -> GeometryColumn:
+    """Load ``geometries.npz``; :class:`StoreError` if torn or corrupt."""
+    if not path.exists():
+        raise StoreError(f"{path.parent}: index has no {path.name}")
+    try:
+        with np.load(path) as data:
+            version = int(data["version"])
+            if version != _COLUMN_FILE_VERSION:
+                raise StoreError(
+                    f"{path}: unsupported geometry column version {version} "
+                    f"(this build reads version {_COLUMN_FILE_VERSION})"
+                )
+            stored_crc = int(data["crc32"])
+            column = GeometryColumn(
+                data["coords"],
+                data["ring_offsets"],
+                data["part_offsets"],
+                data["geom_offsets"],
+                data["kinds"],
+            )
+    except StoreError:
+        raise
+    except KeyError as exc:
+        raise StoreError(f"{path}: corrupt geometry column: missing {exc}") from exc
+    except (zipfile.BadZipFile, zlib.error, OSError, EOFError, ValueError) as exc:
+        raise StoreError(f"{path}: corrupt geometry column: {exc}") from exc
+    if _column_crc32(column) != stored_crc:
+        raise StoreError(f"{path}: corrupt geometry column: checksum mismatch")
+    return column
+
+
 def _read_geometry_dump(path: Path) -> list:
-    """Read a canonical ``geometries.wkt`` dump (one WKT per line)."""
+    """Read a legacy ``geometries.wkt`` dump (one WKT per line)."""
     if not path.exists():
         raise StoreError(f"{path.parent}: index has no {path.name}")
     geometries = []
@@ -170,15 +257,17 @@ def _read_geometry_dump(path: Path) -> list:
 class SpatialDataset:
     """A polygon collection plus everything a join needs precomputed.
 
-    In-memory datasets (``path is None``) cache their derived bundles
-    (boxes, extent, R-tree, content hash) for the process lifetime;
-    persistent datasets additionally load/store APRIL payloads in their
-    index directory.
+    ``geometries`` is a sequence of polygons or a
+    :class:`~repro.geometry.column.GeometryColumn` (whose polygons are
+    built at once). In-memory datasets (``path is None``) cache their
+    derived bundles (column, boxes, extent, R-tree, content hash) for
+    the process lifetime; persistent datasets additionally load/store
+    APRIL payloads in their index directory.
     """
 
     def __init__(
         self,
-        geometries: Sequence[Polygon],
+        geometries: Sequence[Polygon] | GeometryColumn,
         *,
         name: str = "dataset",
         path: str | Path | None = None,
@@ -186,6 +275,9 @@ class SpatialDataset:
         source_sha256: str | None = None,
         payload_codec: str = DEFAULT_PAYLOAD_CODEC,
     ) -> None:
+        if isinstance(geometries, GeometryColumn):
+            self.column = geometries
+            geometries = geometries.geometries()
         geometries = list(geometries)
         if not geometries:
             raise ValueError("a dataset must contain at least one geometry")
@@ -212,12 +304,16 @@ class SpatialDataset:
     # identity and derived bundles
     # ------------------------------------------------------------------
     @cached_property
+    def column(self) -> GeometryColumn:
+        return GeometryColumn.from_geometries(self.geometries)
+
+    @cached_property
     def content_hash(self) -> str:
-        return content_hash(self.geometries)
+        return content_hash(self.column)
 
     @cached_property
     def boxes(self) -> list[Box]:
-        return [g.bbox for g in self.geometries]
+        return [Box(*row) for row in self.column.bounds().tolist()]
 
     @cached_property
     def extent(self) -> Box:
@@ -245,6 +341,8 @@ class SpatialDataset:
         grid: RasterGrid,
         workers: int | None = 1,
         on_error: str = "rebuild",
+        partition_timeout: float | None = None,
+        max_retries: int | None = None,
     ) -> list:
         """APRIL lists for every geometry on ``grid`` — loaded from the
         index when a valid payload exists, built (and, for persistent
@@ -255,6 +353,8 @@ class SpatialDataset:
         number of geometries — is rebuilt from the geometries by
         default (counted in ``repro_resilience_rebuild_total``);
         ``on_error="raise"`` surfaces the :class:`StoreError` instead.
+        A build runs under the caller's ``partition_timeout`` and
+        ``max_retries`` (see :func:`repro.parallel.build_april_parallel`).
         """
         if on_error not in ("raise", "rebuild"):
             raise ValueError(f"on_error must be 'raise' or 'rebuild', got {on_error!r}")
@@ -274,7 +374,9 @@ class SpatialDataset:
             _observe_rebuild("april_payload")
         if payload is not None:
             _observe_cache("april_payload", "miss")
-        aprils = self._build_approximations(grid, workers)
+        aprils = self._build_approximations(
+            grid, workers, partition_timeout, max_retries
+        )
         if payload is not None:
             payload.parent.mkdir(parents=True, exist_ok=True)
             if self.payload_codec != "raw":
@@ -325,12 +427,24 @@ class SpatialDataset:
             "compression_ratio": plain / stored if stored else 1.0,
         }
 
-    def _build_approximations(self, grid: RasterGrid, workers: int | None) -> list:
+    def _build_approximations(
+        self,
+        grid: RasterGrid,
+        workers: int | None,
+        partition_timeout: float | None,
+        max_retries: int | None,
+    ) -> list:
         from repro.parallel import build_april_parallel
 
         t0 = time.perf_counter()
         with trace("store_build_april", count=len(self), grid_order=grid.order):
-            aprils = build_april_parallel(self.geometries, grid, workers=workers)
+            aprils = build_april_parallel(
+                self.geometries,
+                grid,
+                workers=workers,
+                partition_timeout=partition_timeout,
+                max_retries=max_retries,
+            )
         _observe_build("april", time.perf_counter() - t0)
         return aprils
 
@@ -379,21 +493,16 @@ class SpatialDataset:
         self._write_manifest(manifest)
 
     def save(self, index_dir: str | Path) -> "SpatialDataset":
-        """Persist geometries + manifest into ``index_dir``; returns the
-        persistent dataset bound to that directory."""
+        """Persist the geometry column + manifest into ``index_dir``;
+        returns the persistent dataset bound to that directory (sharing
+        this one's geometries and derived bundles)."""
         index_dir = Path(index_dir)
         index_dir.mkdir(parents=True, exist_ok=True)
-        lines = [dumps_wkt(g, precision=_WKT_PRECISION) for g in self.geometries]
-        atomic_write_text(index_dir / GEOMETRY_NAME, "\n".join(lines) + "\n")
-        persistent = SpatialDataset(
-            self.geometries,
-            name=self.name,
-            path=index_dir,
-            source=self.source,
-            source_sha256=self.source_sha256,
-            payload_codec=self.payload_codec,
-        )
+        _write_geometry_column(index_dir / GEOMETRY_NAME, self.column)
+        persistent = copy.copy(self)
+        persistent.path = index_dir
         persistent._write_manifest(persistent._manifest())
+        (index_dir / LEGACY_GEOMETRY_NAME).unlink(missing_ok=True)
         return persistent
 
     @classmethod
@@ -406,27 +515,32 @@ class SpatialDataset:
         """Load a dataset from its index directory.
 
         Raises :class:`StoreError` when the manifest is missing or has
-        an unknown format version, when the stored geometries do not
-        match the recorded content hash, or when ``source`` is given
-        and its bytes no longer match the recorded fingerprint (the
-        index is stale; rebuild it).
+        an unknown format version, when ``geometries.npz`` is torn or
+        fails its CRC-32, when the stored geometries do not match the
+        recorded content hash, or when ``source`` is given and its bytes
+        no longer match the recorded fingerprint (the index is stale;
+        rebuild it). A version-1 or -2 index is verified against its WKT
+        dump's hash and then upgraded in place to the current layout
+        (skipped, with a warning, when the directory cannot be written).
 
         With ``on_error="rebuild"`` an unusable index is repaired in
         place instead: rebuilt from ``source`` when one is given and
-        readable, else re-manifested from a readable ``geometries.wkt``
-        dump; only when neither recovery works does the original
-        :class:`StoreError` propagate. Every repair is counted in
+        readable, else re-manifested from a readable geometry file
+        (``geometries.npz``, or a legacy ``geometries.wkt``); only when
+        neither recovery works does the original :class:`StoreError`
+        propagate. Every repair is counted in
         ``repro_resilience_rebuild_total{artifact="dataset_index"}``.
         """
         if on_error not in ("raise", "rebuild"):
             raise ValueError(f"on_error must be 'raise' or 'rebuild', got {on_error!r}")
-        try:
-            return cls._open_strict(index_dir, source)
-        except StoreError as exc:
-            if on_error == "raise":
-                raise
-            log.warning("unusable dataset index, rebuilding: %s", exc)
-            return cls._rebuild_index(Path(index_dir), source, exc)
+        with trace("dataset_open", index=str(index_dir)):
+            try:
+                return cls._open_strict(index_dir, source)
+            except StoreError as exc:
+                if on_error == "raise":
+                    raise
+                log.warning("unusable dataset index, rebuilding: %s", exc)
+                return cls._rebuild_index(Path(index_dir), source, exc)
 
     @classmethod
     def _open_strict(
@@ -453,29 +567,61 @@ class SpatialDataset:
                     f"{index_dir}: stale index — {source} has changed since the "
                     "index was built (content-hash mismatch); rebuild the index"
                 )
-        geometries = _read_geometry_dump(index_dir / GEOMETRY_NAME)
-        if len(geometries) != manifest.get("count"):
+        legacy = version < MANIFEST_VERSION
+        if legacy:
+            stored = _read_geometry_dump(index_dir / LEGACY_GEOMETRY_NAME)
+        else:
+            stored = _read_geometry_column(index_dir / GEOMETRY_NAME)
+        if len(stored) != manifest.get("count"):
             raise StoreError(
-                f"{index_dir}: corrupt index — {len(geometries)} geometries stored, "
+                f"{index_dir}: corrupt index — {len(stored)} geometries stored, "
                 f"manifest records {manifest.get('count')}"
             )
+        stored_hash = _wkt_content_hash(stored) if legacy else content_hash(stored)
+        if stored_hash != manifest.get("content_hash"):
+            raise StoreError(
+                f"{index_dir}: corrupt index — stored geometries do not match "
+                "the manifest's content hash"
+            )
         dataset = cls(
-            geometries,
+            stored,
             name=manifest.get("name", index_dir.name),
             path=index_dir,
             source=manifest.get("source"),
             source_sha256=manifest.get("source_sha256"),
             # Version-1 manifests predate the codec field; their indexes
             # hold raw payloads, and new payloads written into them stay
-            # raw so the directory remains readable by the old build.
+            # raw, also after the upgrade below.
             payload_codec=manifest.get("payload_codec", "raw"),
         )
-        if dataset.content_hash != manifest.get("content_hash"):
-            raise StoreError(
-                f"{index_dir}: corrupt index — stored geometries do not match "
-                "the manifest's content hash"
-            )
+        if legacy:
+            dataset._upgrade(manifest)
         return dataset
+
+    def _upgrade(self, manifest: dict) -> None:
+        """Rewrite a version-1/2 index in the current layout, in place.
+
+        The column is written first, then the manifest, and only then is
+        the WKT dump removed, so a crash between steps leaves an index
+        that still opens. A directory that cannot be written stays as it
+        is; the dataset then simply lives in memory in the new form.
+        """
+        assert self.path is not None
+        upgraded = {
+            **manifest,
+            "format_version": MANIFEST_VERSION,
+            "content_hash": self.content_hash,
+            "payload_codec": self.payload_codec,
+        }
+        try:
+            _write_geometry_column(self.path / GEOMETRY_NAME, self.column)
+            self._write_manifest(upgraded)
+            (self.path / LEGACY_GEOMETRY_NAME).unlink(missing_ok=True)
+        except OSError as exc:
+            log.warning(
+                "%s: cannot upgrade index from format version %s to %s: %s",
+                self.path, manifest.get("format_version"), MANIFEST_VERSION, exc,
+            )
 
     @classmethod
     def _rebuild_index(
@@ -484,9 +630,10 @@ class SpatialDataset:
         """Repair an unusable index in place (``on_error="rebuild"``).
 
         Prefers the source file — it is the ground truth and covers every
-        corruption, including a lost geometry dump; falls back to
-        re-manifesting a readable ``geometries.wkt``. Re-raises ``cause``
-        when neither exists intact.
+        corruption, including a lost geometry file; falls back to
+        re-manifesting a readable ``geometries.npz`` (or the legacy
+        ``geometries.wkt``). Re-raises ``cause`` when neither exists
+        intact.
         """
         if source is not None and Path(source).exists():
             src = Path(source)
@@ -499,16 +646,20 @@ class SpatialDataset:
             persistent = dataset.save(index_dir)
             _observe_rebuild("dataset_index")
             return persistent
-        geometry_path = index_dir / GEOMETRY_NAME
-        if geometry_path.exists():
+        for name, read in (
+            (GEOMETRY_NAME, _read_geometry_column),
+            (LEGACY_GEOMETRY_NAME, _read_geometry_dump),
+        ):
+            path = index_dir / name
+            if not path.exists():
+                continue
             try:
-                geometries = _read_geometry_dump(geometry_path)
+                dataset = cls(read(path), name=index_dir.name)
             except (StoreError, ValueError):
                 raise cause
-            if geometries:
-                persistent = cls(geometries, name=index_dir.name).save(index_dir)
-                _observe_rebuild("dataset_index")
-                return persistent
+            persistent = dataset.save(index_dir)
+            _observe_rebuild("dataset_index")
+            return persistent
         raise cause
 
     @classmethod
@@ -571,6 +722,7 @@ def open_dataset(
 __all__ = [
     "APRIL_DIR",
     "GEOMETRY_NAME",
+    "LEGACY_GEOMETRY_NAME",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "SpatialDataset",

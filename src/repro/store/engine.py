@@ -68,7 +68,6 @@ from repro.store.dataset import (
     MANIFEST_NAME,
     SpatialDataset,
     _observe_cache,
-    content_hash,
     file_sha256,
 )
 from repro.topology.de9im import TopologicalRelation
@@ -259,11 +258,11 @@ class Engine:
                 )
                 self._datasets.put(key, cached)
             return cached
-        polygons = list(source)
-        key = ("mem", content_hash(polygons))
+        dataset = SpatialDataset.from_polygons(list(source))
+        key = ("mem", dataset.content_hash)
         cached = self._datasets.get(key)
         if cached is None:
-            cached = SpatialDataset.from_polygons(polygons)
+            cached = dataset
             self._datasets.put(key, cached)
         return cached
 
@@ -287,6 +286,8 @@ class Engine:
         *,
         with_april: bool = True,
         workers: int | None = 1,
+        partition_timeout: float | None = None,
+        max_retries: int | None = None,
     ) -> list[SpatialObject]:
         """The dataset's ``SpatialObject`` list for ``grid``.
 
@@ -294,7 +295,8 @@ class Engine:
         approximations are attached lazily (``with_april``) and come
         from :meth:`SpatialDataset.approximations`, i.e. from the
         persistent payload when one exists — the warm path that skips
-        rasterisation entirely.
+        rasterisation entirely. A build that does run is bounded by
+        ``partition_timeout``/``max_retries``, like the join's fan-out.
         """
         key = (dataset.content_hash, _grid_identity(grid))
         objects = self._objects.get(key)
@@ -307,12 +309,21 @@ class Engine:
             ]
             self._objects.put(key, objects)
         if with_april and objects and objects[0].april is None:
-            aprils = self._approximations(dataset, grid, workers)
+            aprils = self._approximations(
+                dataset, grid, workers, partition_timeout, max_retries
+            )
             for obj, approx in zip(objects, aprils):
                 obj.april = approx
         return objects
 
-    def _approximations(self, dataset: SpatialDataset, grid: RasterGrid, workers):
+    def _approximations(
+        self,
+        dataset: SpatialDataset,
+        grid: RasterGrid,
+        workers,
+        partition_timeout: float | None = None,
+        max_retries: int | None = None,
+    ):
         """The dataset's approximation list for ``grid``, LRU-cached.
 
         Compressed payloads carry their own bounded decoded-object
@@ -325,7 +336,12 @@ class Engine:
         key = (dataset.content_hash, _grid_identity(grid))
         aprils = self._payloads.get(key)
         if aprils is None:
-            aprils = dataset.approximations(grid, workers=workers)
+            aprils = dataset.approximations(
+                grid,
+                workers=workers,
+                partition_timeout=partition_timeout,
+                max_retries=max_retries,
+            )
             if (
                 self.max_decoded_payload_bytes is not None
                 and aprils
@@ -604,8 +620,17 @@ class Engine:
         with trace("topology_join", method=method, mode=mode):
             grid = self.join_grid(rd, sd, grid_order)
             needs_april = predicate is not None or PIPELINES[method].uses_april
-            r_objects = self.objects(rd, grid, with_april=needs_april, workers=workers)
-            s_objects = self.objects(sd, grid, with_april=needs_april, workers=workers)
+            r_objects, s_objects = (
+                self.objects(
+                    dataset,
+                    grid,
+                    with_april=needs_april,
+                    workers=workers,
+                    partition_timeout=partition_timeout,
+                    max_retries=max_retries,
+                )
+                for dataset in (rd, sd)
+            )
             pairs = self.pairs(rd, sd)
             run = self.execute(
                 method,

@@ -130,10 +130,14 @@ class TestCliObservability:
         out, err = capsys.readouterr()
 
         spans = json.loads(trace_path.read_text())
-        names = {spans[0]["name"]} | {
-            c["name"] for c in spans[0].get("children", [])
+        # The join is one root span (or a child of one); dataset
+        # resolution may precede it with its own roots, such as the
+        # content hash the engine keys its caches by.
+        names = {root["name"] for root in spans} | {
+            c["name"] for root in spans for c in root.get("children", [])
         }
         assert "topology_join" in names
+        assert "content_hash" in names
 
         metrics = json.loads(metrics_path.read_text())
         assert any(
@@ -332,3 +336,26 @@ class TestValidityReport:
         bowtie = Polygon([(0, 0), (4, 4), (4, 0), (0, 4)])
         text = str(validity_report(bowtie)[0])
         assert "ring-self-intersection" in text
+
+
+class TestImportCost:
+    def test_cli_import_leaves_serve_unloaded(self):
+        """``repro.serve`` (HTTP stack, load generator) loads on first
+        use, not in every CLI process; its names stay importable."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, repro.__main__\n"
+            "assert 'repro.serve' not in sys.modules, sorted(sys.modules)\n"
+            "from repro import API_VERSION, JoinService, start_server\n"
+            "assert 'repro.serve' in sys.modules and API_VERSION == 1\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -180,7 +180,7 @@ class TestIndexRepair:
     def test_unrecoverable_reraises_original_error(self, index):
         index_dir, _ = index
         (index_dir / "manifest.json").unlink()
-        (index_dir / "geometries.wkt").unlink()
+        (index_dir / "geometries.npz").unlink()
         with pytest.raises(StoreError):
             open_dataset(index_dir, on_error="rebuild")
 

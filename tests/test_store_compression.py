@@ -16,6 +16,7 @@ raw arrays on disk. These tests pin the compatibility contract:
   keep warm joins cheap without unbounded memory.
 """
 
+import hashlib
 import json
 import lzma
 import os
@@ -28,6 +29,7 @@ import pytest
 
 from repro.datasets import load_scenario
 from repro.datasets.io import save_wkt_file
+from repro.geometry import dumps_wkt
 from repro.obs.metrics import get_registry, reset_metrics, set_metrics
 from repro.raster.compression import CompressedAprilPayload
 from repro.raster.storage import StoreError, load_approximations, payload_codec
@@ -129,12 +131,18 @@ class TestRawBackwardCompat:
         build_dataset(r_file, tmp_path / "idx", grid_order=10)
         manifest_path = tmp_path / "idx" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert manifest["payload_codec"] == "varint"
 
-        # Rewrite as a pre-PR-7 manifest: version 1, no codec field,
-        # no payload catalog entries.
+        # Rewrite as a pre-PR-7 index: version-1 manifest with no codec
+        # field and no payload catalog entries, geometry as the WKT dump
+        # (17 significant digits) and the content hash over that text.
+        geometries = open_dataset(tmp_path / "idx").geometries
+        dump = "".join(dumps_wkt(g, precision=17) + "\n" for g in geometries)
+        (tmp_path / "idx" / "geometries.wkt").write_text(dump)
+        (tmp_path / "idx" / "geometries.npz").unlink()
         manifest["format_version"] = 1
+        manifest["content_hash"] = hashlib.sha256(dump.encode()).hexdigest()
         del manifest["payload_codec"]
         manifest["approximations"] = []
         manifest_path.write_text(json.dumps(manifest))
@@ -143,12 +151,18 @@ class TestRawBackwardCompat:
 
         dataset = open_dataset(tmp_path / "idx")
         assert dataset.payload_codec == "raw"
+        # Opening upgraded the index to version 3 and kept it raw.
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["format_version"] == 3
+        assert manifest["payload_codec"] == "raw"
+        assert not (tmp_path / "idx" / "geometries.wkt").exists()
+        assert open_dataset(tmp_path / "idx").payload_codec == "raw"
         grid = dataset.grid(10)
         dataset.approximations(grid)
         payloads = list((tmp_path / "idx" / "april").glob("*.npz"))
         assert payloads
-        # New payloads written into a v1 index stay in the v1 layout,
-        # so the old build that owns this index can still read them.
+        # New payloads written into a former v1 index stay in the v1
+        # payload layout.
         assert all(payload_codec(f) == "raw" for f in payloads)
 
 

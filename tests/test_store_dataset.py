@@ -1,10 +1,13 @@
 """Tests for the persistent dataset store (manifest, payloads, staleness)."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.datasets.io import save_wkt_file
 from repro.datasets.synthetic import generate_blobs, generate_tessellation
 from repro.geometry import Box, Polygon
@@ -75,15 +78,66 @@ class TestManifestRoundTrip:
         with pytest.raises(StoreError, match="version"):
             open_dataset(index)
 
-    def test_tampered_geometries_detected(self, source_file, tmp_path):
+    def test_index_holds_column_not_wkt(self, source_file, tmp_path):
         index = tmp_path / "idx"
         build_dataset(source_file, index, grid_order=None)
-        geom_path = index / "geometries.wkt"
-        lines = geom_path.read_text().splitlines()
-        lines[0] = "POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))"
-        geom_path.write_text("\n".join(lines) + "\n")
+        assert (index / "geometries.npz").exists()
+        assert not (index / "geometries.wkt").exists()
+
+    def test_tampered_geometries_detected(self, source_file, tmp_path):
+        """A coordinate changed behind a consistent CRC fails the hash."""
+        index = tmp_path / "idx"
+        build_dataset(source_file, index, grid_order=None)
+        _tamper_coordinate(index / "geometries.npz", fix_crc=True)
         with pytest.raises(StoreError, match="content hash"):
             open_dataset(index)
+
+    def test_tampered_coordinate_fails_checksum(self, source_file, tmp_path):
+        index = tmp_path / "idx"
+        build_dataset(source_file, index, grid_order=None)
+        _tamper_coordinate(index / "geometries.npz", fix_crc=False)
+        with pytest.raises(StoreError, match="checksum"):
+            open_dataset(index)
+
+    def test_truncated_column_raises(self, source_file, tmp_path):
+        index = tmp_path / "idx"
+        build_dataset(source_file, index, grid_order=None)
+        column = index / "geometries.npz"
+        column.write_bytes(column.read_bytes()[: column.stat().st_size // 2])
+        with pytest.raises(StoreError, match="corrupt geometry column"):
+            open_dataset(index)
+
+    def test_rebuild_recovers_tampered_column_from_source(
+        self, source_file, tmp_path, polygons
+    ):
+        index = tmp_path / "idx"
+        built = build_dataset(source_file, index, grid_order=None)
+        _tamper_coordinate(index / "geometries.npz", fix_crc=True)
+        repaired = open_dataset(index, source=source_file, on_error="rebuild")
+        assert repaired.content_hash == built.content_hash
+        assert open_dataset(index).content_hash == built.content_hash
+
+
+def _tamper_coordinate(path, fix_crc: bool) -> None:
+    """Shift one stored coordinate; optionally re-seal the CRC-32 so
+    only the manifest's content hash can notice."""
+    import zlib
+
+    from repro.geometry.column import GeometryColumn
+
+    with np.load(path) as data:
+        members = {name: data[name] for name in data.files}
+    members["coords"] = members["coords"].copy()
+    members["coords"][0, 0] += 1.0
+    if fix_crc:
+        column = GeometryColumn(*(members[k] for k in (
+            "coords", "ring_offsets", "part_offsets", "geom_offsets", "kinds")))
+        crc = 0
+        for chunk in column.canonical_chunks():
+            crc = zlib.crc32(chunk, crc)
+        members["crc32"] = np.uint32(crc)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
 
 
 class TestSourceStaleness:
@@ -146,3 +200,83 @@ class TestApproximations:
         b = content_hash(polygons[:-1])
         c = content_hash(polygons[:-1] + [Polygon.box(0, 0, 1, 1)])
         assert len({a, b, c}) == 3
+
+
+FIXTURE_V2 = Path(__file__).parent / "fixtures" / "index_v2"
+
+
+class TestLegacyUpgrade:
+    """Indexes written in format version 2 (a ``geometries.wkt`` dump
+    hashed as text) open, verify and upgrade in place."""
+
+    @pytest.fixture()
+    def v2(self, tmp_path):
+        work = tmp_path / "v2"
+        shutil.copytree(FIXTURE_V2, work)
+        return work
+
+    @staticmethod
+    def _payloads(index):
+        return {p.name: p.read_bytes() for p in (index / "april").glob("*.npz")}
+
+    def test_fixture_is_version_2(self, v2):
+        for name in ("r_idx", "s_idx"):
+            assert json.loads((v2 / name / "manifest.json").read_text())["format_version"] == 2
+            assert (v2 / name / "geometries.wkt").exists()
+            assert not (v2 / name / "geometries.npz").exists()
+
+    def test_opens_upgrades_and_joins_identically(self, v2, capsys):
+        payloads = {name: self._payloads(v2 / name) for name in ("r_idx", "s_idx")}
+        expected = (v2 / "join.out").read_text()
+        argv = ["join", str(v2 / "r_idx"), str(v2 / "s_idx"), "--index", "--grid-order", "8"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        for name in ("r_idx", "s_idx"):
+            index = v2 / name
+            manifest = json.loads((index / "manifest.json").read_text())
+            assert manifest["format_version"] == MANIFEST_VERSION == 3
+            assert manifest["payload_codec"] == "varint"
+            assert (index / "geometries.npz").exists()
+            assert not (index / "geometries.wkt").exists()
+            assert open_dataset(index).content_hash == manifest["content_hash"]
+            # The payloads were loaded as they were, not rebuilt.
+            assert self._payloads(index) == payloads[name]
+        # The upgraded index opens from the column and joins the same.
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("method", ["ST2", "OP2", "APRIL", "P+C"])
+    def test_index_and_file_joins_print_identical_rows(self, v2, method, capsys):
+        expected = (v2 / "join.out").read_text()
+        common = ["--grid-order", "8", "--method", method]
+        assert main(["join", str(v2 / "r.geojson"), str(v2 / "s.wkt"), *common]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(["join", str(v2 / "r_idx"), str(v2 / "s_idx"), "--index", *common]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_multipolygons_keep_their_type(self, v2):
+        kinds = [type(g).__name__ for g in open_dataset(v2 / "r_idx").geometries]
+        assert kinds.count("MultiPolygon") == 2
+        assert [len(g) for g in open_dataset(v2 / "r_idx").geometries[-2:]] == [2, 1]
+
+    def test_read_only_directory_opens_without_upgrade(self, v2, monkeypatch):
+        import repro.store.dataset as dataset_module
+
+        def refuse(path, data):
+            raise PermissionError(f"read-only: {path}")
+
+        monkeypatch.setattr(dataset_module, "atomic_write_bytes", refuse)
+        before = {p.name: p.read_bytes() for p in (v2 / "r_idx").iterdir() if p.is_file()}
+        dataset = open_dataset(v2 / "r_idx")
+        assert len(dataset) == 12
+        after = {p.name: p.read_bytes() for p in (v2 / "r_idx").iterdir() if p.is_file()}
+        assert after == before  # still a complete version-2 index
+
+    def test_tampered_wkt_dump_detected(self, v2):
+        dump = v2 / "r_idx" / "geometries.wkt"
+        lines = dump.read_text().splitlines()
+        lines[0] = "POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))"
+        dump.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StoreError, match="content hash"):
+            open_dataset(v2 / "r_idx")
+        assert not (v2 / "r_idx" / "geometries.npz").exists()

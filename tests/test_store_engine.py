@@ -201,3 +201,28 @@ class TestWarmPath:
         finally:
             set_metrics(False)
         assert text
+
+
+class TestPayloadRebuildDeadline:
+    def test_join_deadline_reaches_the_payload_build(self, inputs, tmp_path, monkeypatch):
+        """A cold join's approximation build runs under the join's own
+        ``partition_timeout``/``max_retries``, not the executor default."""
+        import repro.parallel as parallel
+
+        calls = []
+        real = parallel.build_april_parallel
+
+        def spy(polygons, grid, **kwargs):
+            calls.append(kwargs)
+            return real(polygons, grid, **kwargs)
+
+        monkeypatch.setattr(parallel, "build_april_parallel", spy)
+        for name, polygons in zip(("r", "s"), inputs):
+            save_wkt_file(tmp_path / f"{name}.wkt", polygons)
+            build_dataset(tmp_path / f"{name}.wkt", tmp_path / name, grid_order=None)
+        Engine().join(tmp_path / "r", tmp_path / "s", grid_order=9, mode="serial",
+                      partition_timeout=1.5, max_retries=2)
+        assert len(calls) == 2  # one build per dataset
+        for kwargs in calls:
+            assert kwargs["partition_timeout"] == 1.5
+            assert kwargs["max_retries"] == 2
