@@ -11,10 +11,13 @@ layers build their fault tolerance on:
   ``store.torn_write``, ``io.bad_row``), armed via API or the
   ``REPRO_FAILPOINTS`` environment variable, so every chaos schedule
   replays bit-identically.
-- :mod:`repro.resilience.supervisor` — :func:`supervised_map`, the
-  ``pool.map`` replacement with per-task deadlines, dead-worker
-  detection, bounded retries with backoff, and an in-parent serial
-  fallback; completes with correct results for any failure schedule.
+- :mod:`repro.resilience.supervisor` — :class:`ForkWorker`, the one
+  fork-worker primitive (a forked process that owns a private duplex
+  pipe, shared with the daemon's worker pool), and
+  :func:`supervised_map`, the ``pool.map`` replacement built on it with
+  per-task deadlines, dead-worker detection, bounded retries with
+  backoff, and an in-parent serial fallback; completes with correct
+  results for any failure schedule.
 - :mod:`repro.resilience.atomic` — tmp + fsync + ``os.replace`` writes
   so store artifacts are never torn.
 - :mod:`repro.resilience.quarantine` — typed reports for malformed

@@ -1,30 +1,31 @@
-"""Supervised fan-out: a ``pool.map`` that survives its workers.
+"""Supervised fan-out over fork workers that each own a private pipe.
 
 A bare ``Pool.map`` has three failure modes that all end the same way —
 a join that never returns: a worker OOM-killed mid-task leaves its
-``AsyncResult`` unresolved forever, a worker stuck in a pathological
-refinement hangs the barrier, and a task whose result cannot travel the
-pipe poisons the whole map call. :func:`supervised_map` replaces the
-barrier with per-task supervision:
+result unresolved forever, a worker stuck in a pathological refinement
+hangs the barrier, and a task whose result cannot travel the pipe
+poisons the whole map call. :func:`supervised_map` replaces the barrier
+with per-task supervision over :class:`ForkWorker` processes:
 
-- every task gets its own **deadline** (``partition_timeout`` seconds
-  per attempt, measured from dispatch);
-- worker processes are **polled for deaths** (pid watching on the
-  pool's process table, cross-checked against per-task start
-  acknowledgements sent through a fork-inherited sentinel queue); a
-  detected death immediately fails exactly the task the dead worker
-  was running instead of waiting out its deadline;
+- a task is sent only to an **idle** worker, so its **deadline**
+  (``partition_timeout`` seconds per attempt) runs from the moment it
+  starts, never while it waits behind another task;
+- a worker **death** shows at once as EOF on its pipe or as its process
+  sentinel becoming ready, and fails exactly the task it was running;
+- an attempt past its deadline is **SIGKILLed at once** and its slot
+  respawned. Nothing else shares the worker's pipe, so the kill can
+  never leave another process's state half-written;
 - failed tasks are **retried** with exponential backoff, at most
-  ``max_retries`` times, re-dispatched to the (auto-repopulated) pool;
+  ``max_retries`` times;
 - tasks that exhaust their retries fall back to **in-parent serial
   re-execution** — slower but isolated from every worker pathology —
   so the merged result is complete for *any* failure schedule.
 
 Tasks must be idempotent and side-effect free (the executor's partition
-workers are pure functions of inherited state): a speculative retry may
-race its hung predecessor, and the first accepted result per task wins;
-late duplicates are discarded unread, which keeps per-worker metric
-payloads exactly-once.
+workers are pure functions of fork-inherited state). At most one
+attempt of a task is ever live, and only its reply is accepted, so the
+first result per task wins and per-worker metric payloads are merged
+exactly once.
 
 Everything is observable: retries, timeouts, worker deaths and serial
 fallbacks surface as ``repro_resilience_*`` counters (when metrics are
@@ -33,12 +34,15 @@ on) and are summarised in the returned :class:`SupervisionReport`.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import multiprocessing
-import os
+import signal
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from multiprocessing.connection import wait
+from typing import Callable
 
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.obs.trace import trace
@@ -51,7 +55,69 @@ log = logging.getLogger("repro.resilience")
 DEFAULT_PARTITION_TIMEOUT = 300.0
 DEFAULT_MAX_RETRIES = 2
 DEFAULT_BACKOFF = 0.05
-_POLL_INTERVAL = 0.02
+
+#: Seconds a freshly forked worker has to send its ready ack.
+READY_TIMEOUT = 30.0
+
+_READY = ("ready",)
+
+#: Every fork-worker pipe end open in this process: the parent ends of
+#: the workers it forked and, inside a worker, its end to its own
+#: parent. A new worker closes all the copies it inherits, so each pipe
+#: has exactly two holders and EOF on it means the other holder is gone.
+_PIPE_ENDS: set = set()
+
+
+def _fork_main(main: Callable, conn, args: tuple) -> None:
+    for end in _PIPE_ENDS:
+        end.close()
+    _PIPE_ENDS.clear()
+    _PIPE_ENDS.add(conn)
+    # Interrupts are the parent's to handle; it kills its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    conn.send(_READY)
+    main(conn, *args)
+
+
+class ForkWorker:
+    """One forked worker process that owns a private duplex pipe.
+
+    The child closes every inherited fork-worker pipe end but its own,
+    acks ready, then runs ``main(conn, *args)``. The constructor returns
+    once the ack has arrived. Because no other process holds the pipe,
+    :meth:`kill` is always safe, and the worker's death shows in the
+    parent as EOF on :attr:`conn` and as ``proc.sentinel`` becoming ready.
+    """
+
+    __slots__ = ("proc", "conn")
+
+    def __init__(self, main: Callable, *args, name: str) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe(duplex=True)
+        _PIPE_ENDS.add(self.conn)
+        self.proc = ctx.Process(target=_fork_main, args=(main, child_end, args), name=name)
+        try:
+            self.proc.start()
+        except BaseException:
+            self.conn.close()
+            _PIPE_ENDS.discard(self.conn)
+            raise
+        finally:
+            child_end.close()
+        try:
+            ready = self.conn.poll(READY_TIMEOUT) and self.conn.recv() == _READY
+        except (EOFError, OSError):
+            ready = False
+        if not ready:
+            self.kill()
+            raise RuntimeError(f"{name} never became ready")
+
+    def kill(self) -> None:
+        """SIGKILL the worker, reap it and close the pipe. Idempotent."""
+        self.proc.kill()
+        self.proc.join()
+        self.conn.close()
+        _PIPE_ENDS.discard(self.conn)
 
 
 @dataclass
@@ -88,45 +154,32 @@ def _observe(name: str, value: int = 1, **labels) -> None:
         get_registry().inc(name, value, **labels)
 
 
-@dataclass
-class _Attempt:
-    async_result: object
-    attempt: int
-    deadline: float | None
-    dispatched: float
-
-
-#: Start-acknowledgement queue, installed in the parent immediately
-#: before the pool forks so workers inherit it. Each task announces
-#: ``(index, attempt, pid)`` as its first action, which lets the parent
-#: map a disappeared pid to exactly the task it was running — even for
-#: worker generations born and killed entirely between two polls.
-_ACK = None
-
-
-def _acked_worker(payload):
-    worker, task = payload
-    if _ACK is not None:
-        _ACK.put((task[0], task[1], os.getpid()))
-    return worker(task)
-
-
-def _kill_hung_worker(running: dict, index: int, attempt: int) -> None:
-    """SIGKILL the worker running a timed-out attempt, if known.
-
-    A hung worker would otherwise occupy its pool slot until the pool
-    is torn down, starving the very retries meant to replace its task;
-    killing it makes the pool repopulate a fresh worker immediately.
-    The ack map is pruned so the ensuing death is not double-counted.
-    """
-    for pid, task in list(running.items()):
-        if task == (index, attempt):
-            running.pop(pid)
-            try:
-                os.kill(pid, 9)  # signal.SIGKILL
-            except (OSError, ProcessLookupError):
-                pass
+def _task_main(conn, worker: Callable) -> None:
+    """A supervised worker's loop: run each ``(index, attempt)`` it is
+    sent and reply ``("ok", result)`` or ``("error", message)``."""
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):
+            return  # the parent is gone
+        try:
+            reply = ("ok", worker(task))
+        except Exception as exc:
+            reply = ("error", repr(exc))
+        try:
+            conn.send(reply)
+        except OSError:
             return
+        except Exception as exc:  # the result does not pickle
+            conn.send(("error", f"unpicklable result: {exc!r}"))
+
+
+def _reply(worker: ForkWorker):
+    """The worker's reply, or ``None`` when it died."""
+    try:
+        return worker.conn.recv() if worker.conn.poll() else None
+    except (EOFError, OSError):
+        return None
 
 
 def supervised_map(
@@ -167,142 +220,87 @@ def supervised_map(
     # workers inherit both the sites and the parent's arming pid.
     failpoints._ensure_env_loaded()
 
-    global _ACK
-    ctx = multiprocessing.get_context("fork")
+    clock = time.monotonic
+    size = max(1, min(workers, task_count))
+    #: (index, attempt) ready to send to the next idle worker.
+    queue: deque = deque((k, 1) for k in range(task_count))
+    #: index -> (next attempt, not-before time): backoff queue.
+    waiting: dict[int, tuple[int, float]] = {}
+    #: worker -> (index, attempt, deadline) it is running.
+    running: dict[ForkWorker, tuple[int, int, float]] = {}
+    idle: list[ForkWorker] = []
     fallback: list[int] = []
-    _ACK = ctx.SimpleQueue()
+
+    def spawn() -> ForkWorker:
+        return ForkWorker(_task_main, worker, name=f"{stage}-worker")
+
+    def fail(index: int, attempt: int, kind: str) -> None:
+        if attempt > max_retries:
+            report.fallbacks += 1
+            report.fallback_tasks.append(index)
+            fallback.append(index)
+            _observe("repro_resilience_fallback_total", stage=stage)
+            log.warning(
+                "%s task %d failed attempt %d (%s); falling back to serial",
+                stage, index, attempt, kind,
+            )
+        else:
+            report.retries += 1
+            delay = backoff * (2 ** (attempt - 1))
+            waiting[index] = (attempt + 1, clock() + delay)
+            _observe("repro_resilience_retry_total", stage=stage, kind=kind)
+            log.warning(
+                "%s task %d attempt %d failed (%s); retrying in %.3fs",
+                stage, index, attempt, kind, delay,
+            )
+
     try:
-        with ctx.Pool(processes=workers) as pool:
-            clock = time.monotonic
-
-            def dispatch(index: int, attempt: int) -> _Attempt:
-                now = clock()
-                return _Attempt(
-                    async_result=pool.apply_async(
-                        _acked_worker, ((worker, (index, attempt)),)
-                    ),
-                    attempt=attempt,
-                    deadline=now + partition_timeout,
-                    dispatched=now,
-                )
-
-            pending: dict[int, _Attempt] = {
-                k: dispatch(k, 1) for k in range(task_count)
-            }
-            #: index -> (next attempt, not-before time): backoff queue.
-            waiting: dict[int, tuple[int, float]] = {}
-            #: pid -> (index, attempt) last acknowledged as running there.
-            running: dict[int, tuple[int, int]] = {}
-            #: Timed-out attempts whose execution may still be sitting
-            #: in the pool's task queue (they expired before ever
-            #: starting). If one later starts and is hung, it would
-            #: silently occupy a pool slot and starve the retries
-            #: dispatched to replace it.
-            stale: set[tuple[int, int]] = set()
-            #: Discarded async results of timed-out attempts, so a
-            #: stale execution that *completed* can be told apart from
-            #: one that is hung.
-            orphans: dict[tuple[int, int], object] = {}
-            #: pid -> (kill-at time, task) for stale executions that
-            #: did start. The kill is deferred a full
-            #: ``partition_timeout`` from their start-ack and skipped
-            #: if the orphan result arrived: SIGKILLing a worker that
-            #: might be mid-operation on a shared pool queue can
-            #: corrupt the queue's lock and deadlock the pool, so only
-            #: provably overdue — hence hung inside the task body —
-            #: workers are shot.
-            doomed: dict[int, tuple[float, tuple[int, int]]] = {}
-
-            def fail(index: int, kind: str) -> None:
-                att = pending.pop(index)
-                if kind == "timeout":
-                    stale.add((index, att.attempt))
-                    orphans[(index, att.attempt)] = att.async_result
-                if att.attempt > max_retries:
-                    report.fallbacks += 1
-                    report.fallback_tasks.append(index)
-                    fallback.append(index)
-                    _observe("repro_resilience_fallback_total", stage=stage)
-                    log.warning(
-                        "%s task %d failed attempt %d (%s); falling back to serial",
-                        stage, index, att.attempt, kind,
-                    )
-                else:
-                    report.retries += 1
-                    delay = backoff * (2 ** (att.attempt - 1))
-                    waiting[index] = (att.attempt + 1, clock() + delay)
-                    _observe("repro_resilience_retry_total", stage=stage, kind=kind)
-                    log.warning(
-                        "%s task %d attempt %d failed (%s); retrying in %.3fs",
-                        stage, index, att.attempt, kind, delay,
-                    )
-
-            while pending or waiting:
-                progressed = False
-                now = clock()
-                # Collect finished attempts; expire blown deadlines.
-                for index, att in list(pending.items()):
-                    if att.async_result.ready():
-                        progressed = True
-                        try:
-                            results[index] = att.async_result.get()
-                            del pending[index]
-                        except Exception:
-                            report.worker_errors += 1
-                            fail(index, "error")
-                    elif att.deadline is not None and now > att.deadline:
-                        progressed = True
-                        report.timeouts += 1
-                        _kill_hung_worker(running, index, att.attempt)
-                        fail(index, "timeout")
-                # Drain start-acks, then reap: a pid that acknowledged a
-                # still-pending attempt but no longer appears in the
-                # pool's (auto-repopulated) process table died mid-task.
-                while not _ACK.empty():
-                    index, attempt, pid = _ACK.get()
-                    running[pid] = (index, attempt)
-                    doomed.pop(pid, None)
-                    if (index, attempt) in stale:
-                        stale.discard((index, attempt))
-                        doomed[pid] = (clock() + partition_timeout, (index, attempt))
-                for pid, (kill_at, task) in list(doomed.items()):
-                    if now < kill_at:
-                        continue
-                    del doomed[pid]
-                    orphan = orphans.pop(task, None)
-                    if orphan is not None and orphan.ready():
-                        continue  # completed on its own; worker is healthy
-                    running.pop(pid, None)
-                    try:
-                        os.kill(pid, 9)  # signal.SIGKILL
-                    except (OSError, ProcessLookupError):
-                        pass
-                alive = {p.pid for p in pool._pool if p.is_alive()}
-                for pid in list(running):
-                    if pid in alive:
-                        continue
-                    index, attempt = running.pop(pid)
-                    doomed.pop(pid, None)
-                    att = pending.get(index)
-                    if att is not None and att.attempt == attempt:
+        idle.extend(spawn() for _ in range(size))
+        while queue or waiting or running:
+            now = clock()
+            for index, (attempt, not_before) in list(waiting.items()):
+                if now >= not_before:
+                    del waiting[index]
+                    queue.append((index, attempt))
+            while queue and (idle or len(running) < size):
+                w = idle.pop() if idle else spawn()
+                index, attempt = queue.popleft()
+                # A worker that died idle cannot take the task; its
+                # sentinel then fails the attempt like any other death.
+                with contextlib.suppress(OSError):
+                    w.conn.send((index, attempt))
+                running[w] = (index, attempt, clock() + partition_timeout)
+            wakeups = [d for _, _, d in running.values()]
+            wakeups += [not_before for _, not_before in waiting.values()]
+            ready = wait(
+                [obj for w in running for obj in (w.conn, w.proc.sentinel)],
+                max(0.0, min(wakeups) - clock()),
+            )
+            now = clock()
+            for w, (index, attempt, deadline) in list(running.items()):
+                if w.conn in ready or w.proc.sentinel in ready:
+                    del running[w]
+                    reply = _reply(w)
+                    if reply is None:
+                        w.kill()
                         report.worker_deaths += 1
-                        _observe(
-                            "repro_resilience_worker_deaths_total", stage=stage
-                        )
-                        fail(index, "death")
-                        progressed = True
-                # Re-dispatch retries whose backoff has elapsed.
-                for index, (attempt, not_before) in list(waiting.items()):
-                    if now >= not_before:
-                        del waiting[index]
-                        pending[index] = dispatch(index, attempt)
-                        progressed = True
-                if not progressed:
-                    time.sleep(_POLL_INTERVAL)
-            # Pool __exit__ terminates remaining (hung or healthy) workers.
+                        _observe("repro_resilience_worker_deaths_total", stage=stage)
+                        fail(index, attempt, "death")
+                        continue
+                    idle.append(w)
+                    if reply[0] == "ok":
+                        results[index] = reply[1]
+                    else:
+                        report.worker_errors += 1
+                        fail(index, attempt, "error")
+                elif now >= deadline:
+                    del running[w]
+                    w.kill()
+                    report.timeouts += 1
+                    fail(index, attempt, "timeout")
     finally:
-        queue, _ACK = _ACK, None
-        queue.close()
+        for w in idle + list(running):
+            w.kill()
 
     for index in fallback:
         with trace("serial_fallback", stage=stage, task=index):
@@ -314,6 +312,8 @@ __all__ = [
     "DEFAULT_BACKOFF",
     "DEFAULT_MAX_RETRIES",
     "DEFAULT_PARTITION_TIMEOUT",
+    "READY_TIMEOUT",
+    "ForkWorker",
     "SupervisionReport",
     "supervised_map",
 ]

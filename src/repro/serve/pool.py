@@ -1,11 +1,12 @@
 """Supervised engine-worker pool for the join service.
 
-PR 5's ``supervised_map`` gave batch runs crash isolation: fork
-workers, watch deadlines, detect death, respawn, fall back serially.
-This module promotes that machinery to the serving layer. A
-:class:`WorkerPool` owns N long-lived engine worker *processes*, forked
-after store warm-up so every worker inherits the parent engine's warm
-caches copy-on-write, each speaking a private duplex pipe. The HTTP
+A :class:`WorkerPool` owns N long-lived engine worker *processes*,
+forked after store warm-up so every worker inherits the parent engine's
+warm caches copy-on-write. Each is a
+:class:`~repro.resilience.supervisor.ForkWorker` that owns a private
+duplex pipe — the same primitive :func:`supervised_map` runs batch
+fan-outs on. This module adds only the serving policy: acquire an idle
+worker, respawn failed slots with backoff, report quorum. The HTTP
 handler threads stay a thin coordinator: validate, admit, dispatch to
 an idle worker, relay the reply.
 
@@ -39,14 +40,12 @@ Failure vocabulary (``WorkerFailure.reason``): ``worker_crash``,
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
-import signal
 import threading
 import time
 
 from repro.obs.metrics import get_registry, metrics_enabled
 from repro.resilience import failpoints
+from repro.resilience.supervisor import READY_TIMEOUT, ForkWorker
 
 log = logging.getLogger("repro.serve")
 
@@ -58,9 +57,6 @@ DEFAULT_MAX_SPAWN_BACKOFF = 5.0
 #: How long a dispatch waits for an idle worker before declaring the
 #: pool exhausted (all workers busy; dead slots fail fast instead).
 DEFAULT_ACQUIRE_TIMEOUT = 1.0
-
-#: Seconds to wait for a freshly forked worker's ready ack.
-READY_TIMEOUT = 30.0
 
 _STOP = ("stop",)
 
@@ -118,25 +114,12 @@ def _execute_join(engine, request: dict) -> tuple:
     return 200, None, run
 
 
-def _worker_main(slot: int, conn, engine, inherited_conns) -> None:
-    """The engine worker loop: recv request, join, send reply.
-
-    Runs in a fork child. ``inherited_conns`` are the *other* workers'
-    pipe ends open in the parent at fork time; closing our copies keeps
-    each pipe's EOF semantics intact (a crashed worker's death must be
-    the last close of its end, so the parent's poll wakes immediately).
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for other in inherited_conns:
-        try:
-            other.close()
-        except OSError:
-            pass
+def _worker_main(conn, engine) -> None:
+    """The engine worker loop: recv request, join, send reply."""
     if engine is None:
         from repro.store.engine import Engine
 
         engine = Engine(calibration="auto")
-    conn.send(("ready", os.getpid()))
     while True:
         try:
             message = conn.recv()
@@ -172,16 +155,14 @@ def _worker_main(slot: int, conn, engine, inherited_conns) -> None:
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-class _Worker:
-    """One pool slot's live process + pipe, owned by the parent."""
+class _Worker(ForkWorker):
+    """One pool slot's live engine worker, owned by the parent."""
 
-    __slots__ = ("slot", "proc", "conn", "generation", "busy")
+    __slots__ = ("slot", "busy")
 
-    def __init__(self, slot: int, proc, conn, generation: int) -> None:
+    def __init__(self, slot: int, engine) -> None:
+        super().__init__(_worker_main, engine, name=f"serve-worker-{slot}")
         self.slot = slot
-        self.proc = proc
-        self.conn = conn
-        self.generation = generation
         self.busy = False
 
 
@@ -212,14 +193,12 @@ class WorkerPool:
         self.max_spawn_backoff = float(max_spawn_backoff)
         self.acquire_timeout = float(acquire_timeout)
         self._engine = engine
-        self._ctx = multiprocessing.get_context("fork")
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._workers: dict[int, _Worker | None] = {}
         self._idle: list[_Worker] = []
         self._respawn_at: dict[int, float] = {}
         self._failstreak: dict[int, int] = {}
-        self._generation = 0
         self._seq = 0
         self._closing = False
         self._started = False
@@ -251,27 +230,8 @@ class WorkerPool:
         return self
 
     def _spawn(self, slot: int) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        with self._lock:
-            self._generation += 1
-            generation = self._generation
-            inherited = [w.conn for w in self._workers.values() if w is not None]
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(slot, child_conn, self._engine, inherited),
-            name=f"serve-worker-{slot}",
-        )
-        proc.start()
-        child_conn.close()  # the parent keeps only its own end
-        worker = _Worker(slot, proc, parent_conn, generation)
-        if not parent_conn.poll(READY_TIMEOUT):
-            proc.kill()
-            proc.join()
-            raise RuntimeError(f"serve worker {slot} never became ready")
-        ack = parent_conn.recv()
-        if ack[0] != "ready":  # pragma: no cover - protocol violation
-            raise RuntimeError(f"serve worker {slot} sent {ack!r} instead of ready")
-        log.info("serve worker %d up (pid %d, generation %d)", slot, ack[1], generation)
+        worker = _Worker(slot, self._engine)
+        log.info("serve worker %d up (pid %d)", slot, worker.proc.pid)
         return worker
 
     def close(self, timeout: float = 10.0) -> None:
@@ -292,13 +252,7 @@ class WorkerPool:
         deadline = time.monotonic() + timeout
         for worker in workers:
             worker.proc.join(max(0.0, deadline - time.monotonic()))
-            if worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join()
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            worker.kill()
         if self._supervisor is not None:
             self._supervisor.join(timeout=2.0)
         with self._lock:
@@ -334,7 +288,7 @@ class WorkerPool:
         try:
             worker.conn.send(("join", request))
             if not worker.conn.poll(max(0.05, deadline)):
-                self._retire(worker, "worker_hang", kill=True)
+                self._retire(worker, "worker_hang")
                 raise WorkerFailure(
                     "worker_hang",
                     f"worker {worker.slot} exceeded the {deadline:.1f}s deadline",
@@ -343,8 +297,8 @@ class WorkerPool:
             reply = worker.conn.recv()
         except WorkerFailure:
             raise
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            self._retire(worker, "worker_crash", kill=True)
+        except (EOFError, OSError) as exc:
+            self._retire(worker, "worker_crash")
             raise WorkerFailure(
                 "worker_crash",
                 f"worker {worker.slot} died mid-request ({exc.__class__.__name__})",
@@ -399,19 +353,14 @@ class WorkerPool:
                 pass
 
     # -- failure handling ----------------------------------------------
-    def _retire(self, worker: _Worker, reason: str, *, kill: bool = False) -> None:
+    def _retire(self, worker: _Worker, reason: str) -> None:
         with self._cond:
-            self._retire_locked(worker, reason, kill=kill)
+            self._retire_locked(worker, reason)
 
-    def _retire_locked(self, worker: _Worker, reason: str, *, kill: bool = False) -> None:
+    def _retire_locked(self, worker: _Worker, reason: str) -> None:
         if self._workers.get(worker.slot) is not worker:
             return  # already retired
-        if kill and worker.proc.is_alive():
-            worker.proc.kill()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
+        worker.kill()
         self._workers[worker.slot] = None
         streak = self._failstreak.get(worker.slot, 0) + 1
         self._failstreak[worker.slot] = streak
@@ -473,8 +422,7 @@ class WorkerPool:
                     continue
                 with self._cond:
                     if self._closing:
-                        worker.proc.kill()
-                        worker.proc.join()
+                        worker.kill()
                         return
                     self._workers[slot] = worker
                     self._idle.append(worker)
@@ -490,27 +438,23 @@ class WorkerPool:
         """Minimum live workers for the pool to count as ready."""
         return self.size // 2 + 1
 
+    def _live_locked(self) -> int:
+        return sum(
+            1 for w in self._workers.values() if w is not None and w.proc.is_alive()
+        )
+
     def live_workers(self) -> int:
         with self._lock:
-            return sum(
-                1
-                for w in self._workers.values()
-                if w is not None and w.proc.is_alive()
-            )
+            return self._live_locked()
 
     def snapshot(self) -> dict:
         with self._lock:
-            live = sum(
-                1
-                for w in self._workers.values()
-                if w is not None and w.proc.is_alive()
-            )
             busy = sum(
                 1 for w in self._workers.values() if w is not None and w.busy
             )
             return {
                 "size": self.size,
-                "live": live,
+                "live": self._live_locked(),
                 "busy": busy,
                 "quorum": self.quorum,
                 "respawns_total": self.respawns_total,
@@ -523,12 +467,7 @@ class WorkerPool:
 
     def _observe_workers_locked(self) -> None:
         if metrics_enabled():
-            live = sum(
-                1
-                for w in self._workers.values()
-                if w is not None and w.proc.is_alive()
-            )
-            get_registry().observe("repro_serve_pool_workers", live)
+            get_registry().observe("repro_serve_pool_workers", self._live_locked())
 
 
 __all__ = [

@@ -78,6 +78,10 @@ def _always_fail(task):
     raise ValueError("poisoned")
 
 
+def _unpicklable(task):
+    return lambda: task
+
+
 class TestSupervisedMap:
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="partition_timeout"):
@@ -131,6 +135,18 @@ class TestSupervisedMap:
         # attempts = max_retries + 1 per task
         assert report.retries == 3
 
+    @fork_only
+    def test_unpicklable_result_is_a_worker_error(self):
+        results, report = supervised_map(
+            _unpicklable, 2, workers=2,
+            serial_runner=_double_serial, stage="t",
+            max_retries=1, backoff=0.001,
+        )
+        assert results == [0, 2]
+        assert report.worker_errors == 4
+        assert report.worker_deaths == 0
+        assert report.fallbacks == 2
+
 
 # ----------------------------------------------------------------------
 # executor chaos schedules
@@ -153,9 +169,23 @@ class TestFindRelationChaos:
         run = _chaos_find(scenario, partition_timeout=0.5, max_retries=2)
         wall = time.monotonic() - start
         assert run.results == serial_run.results
-        assert run.supervision.timeouts >= run.partitions
+        assert run.supervision.timeouts == run.partitions
         # Bounded: nowhere near the 30s hang, even with retries queued.
         assert wall < 15.0
+        assert executor._STATE == {}
+
+    def test_hung_workers_do_not_starve_retries(self, scenario, serial_run):
+        # Every partition crashes on attempt 1 and hangs on attempt 2.
+        # Each hung attempt is killed at its own deadline, which runs
+        # from when it started, so attempt 3 always gets a free worker
+        # and nothing falls back to serial.
+        failpoints.arm("worker.crash", "nth:1")
+        failpoints.arm("worker.hang", "nth:2", hang_seconds=30.0)
+        run = _chaos_find(scenario, partition_timeout=1.0, max_retries=3)
+        assert run.results == serial_run.results
+        assert run.supervision.fallbacks == 0
+        assert run.supervision.timeouts == run.partitions
+        assert run.supervision.worker_deaths == run.partitions
         assert executor._STATE == {}
 
     def test_always_crash_exhausts_to_serial_fallback(self, scenario, serial_run):
