@@ -60,9 +60,9 @@ def test_auto_mode_tracks_best_measured_mode(polygons):
     # cache, so every timed run below measures verification only.
     engine.join(rd, sd, grid_order=GRID_ORDER, mode="serial")
 
-    def best_of(mode: str, *, workers: int = 1):
+    def best_of(mode: str, *, workers: int = 1, rounds: int = ROUNDS):
         best_run, best_seconds = None, float("inf")
-        for _ in range(ROUNDS):
+        for _ in range(rounds):
             run = engine.join(
                 rd, sd, grid_order=GRID_ORDER, mode=mode, workers=workers
             )
@@ -70,14 +70,16 @@ def test_auto_mode_tracks_best_measured_mode(polygons):
                 best_run, best_seconds = run, run.wall_seconds
         return best_run, best_seconds
 
-    serial_run, serial_seconds = best_of("serial")
-    batch_run, batch_seconds = best_of("batch")
+    # Serial and batch used to run ROUNDS times each over the same work
+    # (batch now runs as serial), so the best in-memory mode came from
+    # 2 x ROUNDS serial runs; keep that, so the 5% gate below is exactly
+    # as strict as before.
+    serial_run, serial_seconds = best_of("serial", rounds=2 * ROUNDS)
     parallel_run, parallel_seconds = best_of("parallel", workers=WORKERS)
     auto_run, auto_seconds = best_of("auto", workers=WORKERS)
 
     measured = {
         "serial": serial_seconds,
-        "batch": batch_seconds,
         "parallel": parallel_seconds,
     }
     decision = auto_run.meta["cost_model"]
@@ -85,7 +87,7 @@ def test_auto_mode_tracks_best_measured_mode(polygons):
     assert auto_run.mode == decision["decision"]
 
     # Auto must be indistinguishable from the mode it picked.
-    assert _rows(auto_run) == _rows(serial_run) == _rows(batch_run)
+    assert _rows(auto_run) == _rows(serial_run)
     assert _rows(auto_run) == _rows(parallel_run)
 
     cpu = os.cpu_count() or 1

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.datasets import load_scenario
-from repro.join.batch import run_find_relation_batch_outcomes
 from repro.join.pipeline import run_find_relation
 from repro.parallel import build_april_parallel, run_find_relation_parallel
 from repro.raster import build_april
@@ -53,14 +52,6 @@ def test_parallel_find_relation_speedup(scenario):
         )
         serial_seconds = min(serial_seconds, time.perf_counter() - t0)
 
-    batch_seconds = float("inf")
-    for _ in range(ROUNDS):
-        t0 = time.perf_counter()
-        _outcomes, batch_stats = run_find_relation_batch_outcomes(
-            scenario.r_objects, scenario.s_objects, scenario.pairs
-        )
-        batch_seconds = min(batch_seconds, time.perf_counter() - t0)
-
     parallel_seconds = float("inf")
     for _ in range(ROUNDS):
         run = run_find_relation_parallel(
@@ -74,7 +65,6 @@ def test_parallel_find_relation_speedup(scenario):
     assert run.stats.pairs == serial.pairs == len(scenario.pairs)
     assert run.stats.r_objects_accessed == serial.r_objects_accessed
     assert run.stats.s_objects_accessed == serial.s_objects_accessed
-    assert batch_stats.relation_counts == serial.relation_counts
 
     speedup = serial_seconds / parallel_seconds
     record(
@@ -88,10 +78,6 @@ def test_parallel_find_relation_speedup(scenario):
             "workers": WORKERS,
             "cpu_count": os.cpu_count(),
             "serial_seconds": round(serial_seconds, 4),
-            # The vectorised batch runner, timed in its own right: the
-            # number calibration's bench seeding uses for the batch mode
-            # (it used to copy serial's, leaving auto unable to pick batch).
-            "batch_seconds": round(batch_seconds, 4),
             "parallel_seconds": round(parallel_seconds, 4),
             "speedup": round(speedup, 3),
             "relation_counts_identical": True,

@@ -128,12 +128,19 @@ def test_supervised_no_fault_overhead(scenario):
         }
     )
 
-    if baseline_ratio is not None:
-        assert regression_pct < NO_FAULT_REGRESSION_PCT, (
-            f"supervised no-fault ratio {ratio:.3f} regresses "
-            f"{regression_pct:.1f}% vs median pre-supervision ratio "
-            f"{baseline_ratio:.3f} (bound {NO_FAULT_REGRESSION_PCT}%)"
+    if baseline_ratio is None:
+        # The entry above is recorded either way, but without a
+        # comparable baseline the gate cannot run: report a skip rather
+        # than a pass that checked nothing.
+        pytest.skip(
+            f"no comparable BENCH_parallel.json find_relation entry with "
+            f"cpu_count={os.cpu_count()}; no-fault overhead gate not checked"
         )
+    assert regression_pct < NO_FAULT_REGRESSION_PCT, (
+        f"supervised no-fault ratio {ratio:.3f} regresses "
+        f"{regression_pct:.1f}% vs median pre-supervision ratio "
+        f"{baseline_ratio:.3f} (bound {NO_FAULT_REGRESSION_PCT}%)"
+    )
 
 
 def test_recovery_cost_is_bounded(scenario):

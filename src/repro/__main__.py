@@ -445,10 +445,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
               f"+ {mc.per_pair * 1e6:8.2f} us/pair", file=sys.stderr)
     model = CostModel(profile)
     print("# auto-mode preview (warm index, workers = cpu count):", file=sys.stderr)
-    # The same candidate set Engine.join offers a warm P+C find — in
-    # particular *batch*, which the profile now measures independently;
-    # the old ("serial", "parallel") default silently hid it.
-    candidates = ("serial", "batch", "parallel", "disk")
+    # The same candidate set Engine.join offers a warm P+C find.
+    candidates = ("serial", "parallel", "disk")
     for pairs in (100, 10_000, 1_000_000):
         features = JoinFeatures(
             r_count=max(1, pairs // 10),
@@ -587,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--include-disjoint", action="store_true")
     p.add_argument(
         "--mode", default="auto", choices=list(MODES),
-        help="execution mode: serial, batch (vectorised P+C), parallel, "
+        help="execution mode: serial, batch (alias of serial), parallel, "
              "disk (out-of-core PBSM), or auto (cost-model pick when a "
              "calibration profile exists — see the calibrate subcommand; "
              "otherwise serial/parallel by --workers)",

@@ -283,12 +283,120 @@ PIPELINES: dict[str, Pipeline] = {
 }
 
 
-def _latency_line(hist: Histogram) -> str:
-    """The one-line p50/p95 refine-latency summary ``--progress`` emits."""
-    return (
-        f"refine latency p50={hist.quantile(0.50) * 1e3:.3f}ms "
-        f"p95={hist.quantile(0.95) * 1e3:.3f}ms over {hist.count} refined"
+#: One per-pair result row: ``(r_index, s_index, relation, filtered)``
+#: where ``filtered`` is True when no DE-9IM refinement was needed.
+PairOutcome = tuple[int, int, T, bool]
+
+
+def find_relation_outcomes(
+    pipeline: Pipeline,
+    r_objects: Sequence[SpatialObject],
+    s_objects: Sequence[SpatialObject],
+    pairs: Sequence[tuple[int, int]],
+    label: str | None = None,
+) -> tuple[list[PairOutcome], JoinRunStats]:
+    """The find-relation loop: filter the stream, refine what stays open.
+
+    Every in-memory runner drives its pairs through here — serial
+    :func:`run_find_relation`, each parallel partition and the
+    in-parent fallback. It opens no root span of its own (callers wrap
+    it in ``run_find_relation`` or ``partition``) and leaves the
+    object totals and access counters to the caller. Outcomes come
+    back in ``pairs`` order.
+    """
+    stats = JoinRunStats(method=pipeline.name)
+    outcomes: list[PairOutcome] = []
+    clock = time.perf_counter
+    registry = get_registry() if metrics_enabled() else None
+    # MBR cases are re-derived (cheap float compares) only when the
+    # per-case verdict counters are actually wanted.
+    cases = (
+        [classify_mbr_pair(r_objects[i].box, s_objects[j].box).value for i, j in pairs]
+        if registry is not None
+        else None
     )
+    reporter = progress_reporter(label or pipeline.name, len(pairs))
+    latencies = Histogram() if reporter is not None else None
+    # Local bool so the profiler-off path costs one check per refined
+    # pair; the markers attribute the per-pair refinement (which runs
+    # *between* spans) to the ``refine`` phase.
+    profiling = profiling_enabled()
+
+    t0 = clock()
+    with trace("filter", pairs=len(pairs)):
+        verdicts = pipeline.filter_pairs(r_objects, s_objects, pairs)
+    stats.filter_seconds += clock() - t0
+    for k, ((i, j), (verdict, stage)) in enumerate(zip(pairs, verdicts)):
+        if reporter is not None and (k & 255) == 0:
+            reporter.tick(k, detail=f"{stats.refined} refined")
+        if verdict.definite is not None:
+            stats.record(verdict.definite, stage.value)
+            outcomes.append((i, j, verdict.definite, True))
+            if registry is not None:
+                registry.inc(
+                    "repro_verdicts_total",
+                    method=pipeline.name,
+                    case=cases[k],
+                    stage=stage.value,
+                    relation=verdict.definite.value,
+                )
+            continue
+        assert verdict.refine_candidates is not None
+        if profiling:
+            set_phase("refine")
+        t1 = clock()
+        relation = pipeline.refine_pair(
+            r_objects[i], s_objects[j], verdict.refine_candidates
+        )
+        elapsed = clock() - t1
+        if profiling:
+            clear_phase()
+        stats.refine_seconds += elapsed
+        if latencies is not None:
+            latencies.observe(elapsed)
+        stats.record(relation, "refinement")
+        outcomes.append((i, j, relation, False))
+        if registry is not None:
+            registry.inc(
+                "repro_verdicts_total",
+                method=pipeline.name,
+                case=cases[k],
+                stage="refinement",
+                relation=relation.value,
+            )
+            registry.observe(
+                "repro_refine_latency_seconds", elapsed, method=pipeline.name
+            )
+    # Aggregate of the per-pair refinement sections above, attached
+    # with its measured duration so span totals reconcile with
+    # ``refine_seconds`` instead of re-timing the loop.
+    add_span("refine", stats.refine_seconds, pairs=stats.refined)
+    _finish_progress(reporter, latencies, stats)
+    return outcomes, stats
+
+
+def _finish_progress(reporter, latencies: Histogram | None, stats: JoinRunStats) -> None:
+    """Close a ``--progress`` line with the p50/p95 refine-latency summary."""
+    if reporter is None:
+        return
+    reporter.finish(detail=f"{stats.refined} refined")
+    if latencies is not None and latencies.count:
+        reporter.summary(
+            f"refine latency p50={latencies.quantile(0.50) * 1e3:.3f}ms "
+            f"p95={latencies.quantile(0.95) * 1e3:.3f}ms over {latencies.count} refined"
+        )
+
+
+def _count_accessed(
+    stats: JoinRunStats,
+    r_objects: Sequence[SpatialObject],
+    s_objects: Sequence[SpatialObject],
+) -> JoinRunStats:
+    stats.r_objects_total = len(r_objects)
+    stats.s_objects_total = len(s_objects)
+    stats.r_objects_accessed = sum(1 for o in r_objects if o.geometry_accessed)
+    stats.s_objects_accessed = sum(1 for o in s_objects if o.geometry_accessed)
+    return stats
 
 
 def run_find_relation(
@@ -305,88 +413,12 @@ def run_find_relation(
     """
     if isinstance(pipeline, str):
         pipeline = PIPELINES[pipeline]
-    stats = JoinRunStats(method=pipeline.name)
-    stats.r_objects_total = len(r_objects)
-    stats.s_objects_total = len(s_objects)
     reset_access_tracking(r_objects)
     reset_access_tracking(s_objects)
-
-    clock = time.perf_counter
     pairs = list(pairs)
     with trace("run_find_relation", method=pipeline.name, pairs=len(pairs)):
-        registry = get_registry() if metrics_enabled() else None
-        # MBR cases are re-derived (cheap float compares) only when the
-        # per-case verdict counters are actually wanted.
-        cases = (
-            [
-                classify_mbr_pair(r_objects[i].box, s_objects[j].box).value
-                for i, j in pairs
-            ]
-            if registry is not None
-            else None
-        )
-        reporter = progress_reporter(pipeline.name, len(pairs))
-        latencies = Histogram() if reporter is not None else None
-        # Local bool so the profiler-off path costs one check per
-        # refined pair; the markers attribute the per-pair refinement
-        # (which runs *between* spans) to the ``refine`` phase.
-        profiling = profiling_enabled()
-
-        t0 = clock()
-        with trace("filter", pairs=len(pairs)):
-            verdicts = pipeline.filter_pairs(r_objects, s_objects, pairs)
-        stats.filter_seconds += clock() - t0
-        for k, ((i, j), (verdict, stage)) in enumerate(zip(pairs, verdicts)):
-            if reporter is not None and (k & 255) == 0:
-                reporter.tick(k, detail=f"{stats.refined} refined")
-            if verdict.definite is not None:
-                stats.record(verdict.definite, stage.value)
-                if registry is not None:
-                    registry.inc(
-                        "repro_verdicts_total",
-                        method=pipeline.name,
-                        case=cases[k],
-                        stage=stage.value,
-                        relation=verdict.definite.value,
-                    )
-                continue
-            assert verdict.refine_candidates is not None
-            if profiling:
-                set_phase("refine")
-            t1 = clock()
-            relation = pipeline.refine_pair(
-                r_objects[i], s_objects[j], verdict.refine_candidates
-            )
-            elapsed = clock() - t1
-            if profiling:
-                clear_phase()
-            stats.refine_seconds += elapsed
-            if latencies is not None:
-                latencies.observe(elapsed)
-            stats.record(relation, "refinement")
-            if registry is not None:
-                registry.inc(
-                    "repro_verdicts_total",
-                    method=pipeline.name,
-                    case=cases[k],
-                    stage="refinement",
-                    relation=relation.value,
-                )
-                registry.observe(
-                    "repro_refine_latency_seconds", elapsed, method=pipeline.name
-                )
-        # Aggregate of the per-pair refinement sections above, attached
-        # with its measured duration so span totals reconcile with
-        # ``refine_seconds`` instead of re-timing the loop.
-        add_span("refine", stats.refine_seconds, pairs=stats.refined)
-        if reporter is not None:
-            reporter.finish(detail=f"{stats.refined} refined")
-            if latencies is not None and latencies.count:
-                reporter.summary(_latency_line(latencies))
-
-    stats.r_objects_accessed = sum(1 for o in r_objects if o.geometry_accessed)
-    stats.s_objects_accessed = sum(1 for o in s_objects if o.geometry_accessed)
-    return stats
+        _, stats = find_relation_outcomes(pipeline, r_objects, s_objects, pairs)
+    return _count_accessed(stats, r_objects, s_objects)
 
 
 # ----------------------------------------------------------------------
@@ -415,55 +447,54 @@ def relate_predicate(
     return relation_holds(matrix, predicate), Stage.REFINEMENT
 
 
-def run_relate(
+def relate_outcomes(
     predicate: T,
     r_objects: Sequence[SpatialObject],
     s_objects: Sequence[SpatialObject],
-    pairs: Iterable[tuple[int, int]],
-) -> JoinRunStats:
-    """Run ``relate_p`` over a candidate-pair stream (Table 5's metric)."""
-    stats = JoinRunStats(method=f"relate[{predicate.value}]")
-    stats.r_objects_total = len(r_objects)
-    stats.s_objects_total = len(s_objects)
-    reset_access_tracking(r_objects)
-    reset_access_tracking(s_objects)
+    pairs: Sequence[tuple[int, int]],
+    label: str | None = None,
+) -> tuple[list[tuple[int, int]], JoinRunStats, set[int], set[int]]:
+    """The relate_p loop: Fig. 6 filter per pair, DE-9IM when it cannot say.
 
+    Shared by :func:`run_relate`, each parallel partition and the
+    in-parent fallback; untraced at the root like
+    :func:`find_relation_outcomes`. Filter time (and the ``filter``
+    profiler phase) covers every pair; refinement time covers only the
+    DE-9IM ``relate`` of the pairs the filter left undecided. Returns
+    the matching pairs in ``pairs`` order plus the r/s ids whose exact
+    geometry refinement read.
+    """
+    stats = JoinRunStats(method=f"relate[{predicate.value}]")
+    matches: list[tuple[int, int]] = []
+    touched_r: set[int] = set()
+    touched_s: set[int] = set()
     clock = time.perf_counter
-    pairs = list(pairs)
-    with trace("run_relate", predicate=predicate.value, pairs=len(pairs)):
-        registry = get_registry() if metrics_enabled() else None
-        reporter = progress_reporter(stats.method, len(pairs))
-        latencies = Histogram() if reporter is not None else None
-        profiling = profiling_enabled()
-        for k, (i, j) in enumerate(pairs):
-            if reporter is not None and (k & 255) == 0:
-                reporter.tick(k, detail=f"{stats.refined} refined")
-            r = r_objects[i]
-            s = s_objects[j]
+    registry = get_registry() if metrics_enabled() else None
+    reporter = progress_reporter(label or stats.method, len(pairs))
+    latencies = Histogram() if reporter is not None else None
+    profiling = profiling_enabled()
+    for k, (i, j) in enumerate(pairs):
+        if reporter is not None and (k & 255) == 0:
+            reporter.tick(k, detail=f"{stats.refined} refined")
+        r = r_objects[i]
+        s = s_objects[j]
+        if profiling:
+            set_phase("filter")
+        t0 = clock()
+        verdict = relate_filter(
+            predicate, r.box, s.box, r.require_april(), s.require_april(),
+            r.polygon.is_connected and s.polygon.is_connected,
+        )
+        t1 = clock()
+        stats.filter_seconds += t1 - t0
+        stats.pairs += 1
+        elapsed = None
+        if verdict is not RelateVerdict.UNKNOWN:
             if profiling:
-                set_phase("filter")
-            t0 = clock()
-            verdict = relate_filter(
-                predicate, r.box, s.box, r.require_april(), s.require_april(),
-                r.polygon.is_connected and s.polygon.is_connected,
-            )
-            t1 = clock()
-            stats.filter_seconds += t1 - t0
-            if verdict is not RelateVerdict.UNKNOWN:
-                if profiling:
-                    clear_phase()
-                stats.pairs += 1
-                stats.resolved_if += 1
-                if verdict is RelateVerdict.YES:
-                    stats.relation_counts[predicate] += 1
-                if registry is not None:
-                    registry.inc(
-                        "repro_relate_verdicts_total",
-                        predicate=predicate.value,
-                        stage="if",
-                        verdict=verdict.value,
-                    )
-                continue
+                clear_phase()
+            stats.resolved_if += 1
+            holds = verdict is RelateVerdict.YES
+        else:
             if profiling:
                 set_phase("refine")
             matrix = relate(r.access_geometry(), s.access_geometry())
@@ -472,32 +503,44 @@ def run_relate(
             if profiling:
                 clear_phase()
             stats.refine_seconds += elapsed
+            stats.refined += 1
             if latencies is not None:
                 latencies.observe(elapsed)
-            stats.pairs += 1
-            stats.refined += 1
-            if holds:
-                stats.relation_counts[predicate] += 1
-            if registry is not None:
-                registry.inc(
-                    "repro_relate_verdicts_total",
-                    predicate=predicate.value,
-                    stage="refinement",
-                    verdict="yes" if holds else "no",
-                )
+            touched_r.add(i)
+            touched_s.add(j)
+        if holds:
+            stats.relation_counts[predicate] += 1
+            matches.append((i, j))
+        if registry is not None:
+            registry.inc(
+                "repro_relate_verdicts_total",
+                predicate=predicate.value,
+                stage="if" if elapsed is None else "refinement",
+                verdict="yes" if holds else "no",
+            )
+            if elapsed is not None:
                 registry.observe(
                     "repro_refine_latency_seconds", elapsed, method=stats.method
                 )
-        add_span("filter", stats.filter_seconds, pairs=len(pairs))
-        add_span("refine", stats.refine_seconds, pairs=stats.refined)
-        if reporter is not None:
-            reporter.finish(detail=f"{stats.refined} refined")
-            if latencies is not None and latencies.count:
-                reporter.summary(_latency_line(latencies))
+    add_span("filter", stats.filter_seconds, pairs=len(pairs))
+    add_span("refine", stats.refine_seconds, pairs=stats.refined)
+    _finish_progress(reporter, latencies, stats)
+    return matches, stats, touched_r, touched_s
 
-    stats.r_objects_accessed = sum(1 for o in r_objects if o.geometry_accessed)
-    stats.s_objects_accessed = sum(1 for o in s_objects if o.geometry_accessed)
-    return stats
+
+def run_relate(
+    predicate: T,
+    r_objects: Sequence[SpatialObject],
+    s_objects: Sequence[SpatialObject],
+    pairs: Iterable[tuple[int, int]],
+) -> JoinRunStats:
+    """Run ``relate_p`` over a candidate-pair stream (Table 5's metric)."""
+    reset_access_tracking(r_objects)
+    reset_access_tracking(s_objects)
+    pairs = list(pairs)
+    with trace("run_relate", predicate=predicate.value, pairs=len(pairs)):
+        _, stats, _, _ = relate_outcomes(predicate, r_objects, s_objects, pairs)
+    return _count_accessed(stats, r_objects, s_objects)
 
 
 __all__ = [
@@ -505,10 +548,13 @@ __all__ = [
     "FindRelationOutcome",
     "OptimizedTwoPhasePipeline",
     "PIPELINES",
+    "PairOutcome",
     "Pipeline",
     "ProgressiveConservativePipeline",
     "Stage",
     "StandardTwoPhasePipeline",
+    "find_relation_outcomes",
+    "relate_outcomes",
     "relate_predicate",
     "run_find_relation",
     "run_relate",

@@ -70,7 +70,8 @@ class JoinRun:
     results: list[JoinResult]
     stats: JoinRunStats
     method: str
-    #: One of ``"serial"``, ``"batch"``, ``"parallel"``, ``"disk"``.
+    #: One of ``"serial"``, ``"parallel"``, ``"disk"`` (a ``"batch"``
+    #: request runs, and reports, as ``"serial"``).
     mode: str
     #: ``"find"`` for find-relation runs, ``"relate"`` for relate_p.
     kind: str = "find"

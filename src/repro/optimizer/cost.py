@@ -39,13 +39,12 @@ different core count raises :class:`CalibrationError` — the engine then
 falls back to the historical workers-based rule rather than trusting a
 stale model.
 
-Auto-mode *selection* arbitrates serial vs batch vs parallel (batch
-only for P+C find-relation joins, the pipeline it implements; disk
-joins the race above a configurable pair threshold). Ties resolve in
-candidate order — serial first — so bench-seeded profiles that copy
-serial's per-pair cost for batch keep the historical pick. Predicted
-costs for every calibrated mode are reported in ``JoinRun.meta`` so
-the decision is auditable even for modes it declined to pick.
+Auto-mode *selection* arbitrates serial vs parallel (disk joins the
+race above a configurable pair threshold; ``"batch"`` is an alias of
+serial and has no row of its own). Ties resolve in candidate order —
+serial first. Predicted costs for every calibrated mode are reported in
+``JoinRun.meta`` so the decision is auditable even for modes it
+declined to pick.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ _EWMA_ALPHA = 0.2
 _MIN_OBSERVED_PAIRS = 64
 
 #: Modes the model can carry parameters for.
-MODEL_MODES = ("serial", "batch", "parallel", "disk")
+MODEL_MODES = ("serial", "parallel", "disk")
 
 
 class CalibrationError(ValueError):
@@ -185,14 +184,6 @@ class CalibrationProfile:
         pairs = float(pick["pairs"])
         serial_pp = float(pick["serial_seconds"]) / pairs
         parallel_pp = float(pick["parallel_seconds"]) / pairs
-        # Trajectories recorded since the bench timed the batch runner
-        # carry ``batch_seconds``; older entries lack it, and the serial
-        # cost stands in so predictions stay defined (a tie that auto
-        # breaks in serial's favour, preserving the historical pick).
-        batch_seconds = pick.get("batch_seconds")
-        batch_pp = (
-            float(batch_seconds) / pairs if batch_seconds else serial_pp
-        )
         raster = 0.0
         local_preps = [e for e in preps if e.get("cpu_count") == cpu] or preps
         if local_preps:
@@ -203,14 +194,9 @@ class CalibrationProfile:
             {"mode": "serial", "pairs": pairs, "seconds": pick["serial_seconds"]},
             {"mode": "parallel", "pairs": pairs, "seconds": pick["parallel_seconds"]},
         ]
-        if batch_seconds:
-            samples.insert(
-                1, {"mode": "batch", "pairs": pairs, "seconds": batch_seconds}
-            )
         return cls(
             modes={
                 "serial": ModeCost(startup=0.0, per_pair=serial_pp),
-                "batch": ModeCost(startup=0.0, per_pair=batch_pp),
                 "parallel": ModeCost(startup=0.0, per_pair=parallel_pp),
             },
             machine=cls.machine_fingerprint(),

@@ -1,61 +1,59 @@
 """Partitioned parallel execution of the join pipelines.
 
 The verification stage is embarrassingly parallel: every candidate pair
-is processed independently through ``Pipeline.filter_pair`` and (when
+is processed independently through the method's filter and (when
 undetermined) refinement. This module partitions the candidate stream —
 either into contiguous chunks or into spatially coherent PBSM-style
 tiles (reusing the :func:`~repro.join.mbr_join.partition_pairs_by_tile`
-machinery) — fans the partitions out to a fork-based process pool, and
-merges the per-partition outcomes deterministically in ``(i, j)``
+machinery) — runs each partition through the one find-relation or
+relate_p loop of :mod:`repro.join.pipeline` in supervised fork workers,
+and merges the per-partition outcomes deterministically in ``(i, j)``
 order, so a parallel run is bit-for-bit comparable to a serial one
 regardless of worker count or scheduling.
 
 Worker state travels by fork inheritance (the parent installs the
-object lists in a module global right before the pool is created), so
+partition runner in a module global right before the workers fork), so
 nothing large is pickled per task; only the compact per-pair outcome
-tuples come back through the result pipe. On platforms without the
-``fork`` start method the executor transparently degrades to the serial
-path.
+tuples come back through each worker's pipe. With one worker, a
+trivially small stream, or no ``fork`` start method, the same loop
+runs in-process as a single partition.
 
 Timing semantics: the merged :class:`~repro.join.stats.JoinRunStats`
 carries *summed worker CPU time* in ``filter_seconds`` /
 ``refine_seconds`` (comparable across methods and worker counts), while
 ``wall_seconds`` on the run object measures end-to-end elapsed time
-including pool startup — the number speedup claims should be made from.
+including worker startup — the number speedup claims should be made from.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.resilience.failpoints import maybe_fail_worker
 from repro.resilience.supervisor import SupervisionReport, supervised_map
 
-from repro.filters.mbr import classify_mbr_pair
 from repro.join.mbr_join import partition_pairs_by_tile
 from repro.join.objects import SpatialObject, reset_access_tracking
 from repro.join.pipeline import (
     PIPELINES,
+    PairOutcome,
     Pipeline,
-    Stage,
-    _latency_line,
-    relate_predicate,
+    find_relation_outcomes,
+    relate_outcomes,
 )
 from repro.join.stats import JoinRunStats
-from repro.obs.metrics import Histogram, get_registry, metrics_enabled, reset_metrics
+from repro.obs.metrics import get_registry, metrics_enabled, reset_metrics
 from repro.obs.profile import (
     begin_worker_capture as profile_begin_worker_capture,
-    clear_phase,
     export_profile,
     merge_profiles,
     profiling_enabled,
-    set_phase,
 )
-from repro.obs.progress import progress_reporter
 from repro.obs.resources import (
     begin_worker_capture as resources_begin_worker_capture,
     export_resources,
@@ -63,7 +61,6 @@ from repro.obs.resources import (
     resources_enabled,
 )
 from repro.obs.trace import (
-    add_span,
     attach_spans,
     export_spans,
     reset_tracing,
@@ -72,10 +69,6 @@ from repro.obs.trace import (
 )
 from repro.parallel.chunking import chunk_pairs
 from repro.topology.de9im import TopologicalRelation
-
-#: One merged result row: ``(r_index, s_index, relation, filtered)``
-#: where ``filtered`` is True when no DE-9IM refinement was needed.
-PairOutcome = tuple[int, int, TopologicalRelation, bool]
 
 #: Parent-side state installed immediately before the pool forks;
 #: workers read it via copy-on-write inheritance, never via pickling.
@@ -138,84 +131,6 @@ class ParallelRelateRun:
 # ----------------------------------------------------------------------
 # per-partition processing (used by workers and by the serial fallback)
 # ----------------------------------------------------------------------
-def _find_outcomes(
-    pipeline: Pipeline,
-    r_objects: Sequence[SpatialObject],
-    s_objects: Sequence[SpatialObject],
-    pairs: Sequence[tuple[int, int]],
-    label: str = "",
-) -> tuple[list[PairOutcome], JoinRunStats]:
-    stats = JoinRunStats(method=pipeline.name)
-    outcomes: list[PairOutcome] = []
-    clock = time.perf_counter
-    pairs = list(pairs)
-    registry = get_registry() if metrics_enabled() else None
-    cases = None
-    if registry is not None:
-        # Same per-case verdict labels as the serial runner, so the
-        # merged worker registries equal a serial run's counters.
-        cases = [
-            classify_mbr_pair(r_objects[i].box, s_objects[j].box).value
-            for i, j in pairs
-        ]
-    reporter = progress_reporter(label or pipeline.name, len(pairs))
-    latencies = Histogram() if reporter is not None else None
-    profiling = profiling_enabled()
-    t0 = clock()
-    # Batched filter stage: every worker runs the same vectorised
-    # kernels, so the per-pair screen is amortised inside each partition.
-    with trace("filter", pairs=len(pairs)):
-        verdicts = pipeline.filter_pairs(r_objects, s_objects, pairs)
-    stats.filter_seconds += clock() - t0
-    for k, ((i, j), (verdict, stage)) in enumerate(zip(pairs, verdicts)):
-        if reporter is not None and (k & 255) == 0:
-            reporter.tick(k, detail=f"{stats.refined} refined")
-        if verdict.definite is not None:
-            stats.record(verdict.definite, stage.value)
-            outcomes.append((i, j, verdict.definite, True))
-            if registry is not None:
-                registry.inc(
-                    "repro_verdicts_total",
-                    method=pipeline.name,
-                    case=cases[k],
-                    stage=stage.value,
-                    relation=verdict.definite.value,
-                )
-            continue
-        assert verdict.refine_candidates is not None
-        if profiling:
-            set_phase("refine")
-        t1 = clock()
-        relation = pipeline.refine_pair(
-            r_objects[i], s_objects[j], verdict.refine_candidates
-        )
-        elapsed = clock() - t1
-        if profiling:
-            clear_phase()
-        stats.refine_seconds += elapsed
-        if latencies is not None:
-            latencies.observe(elapsed)
-        stats.record(relation, "refinement")
-        outcomes.append((i, j, relation, False))
-        if registry is not None:
-            registry.inc(
-                "repro_verdicts_total",
-                method=pipeline.name,
-                case=cases[k],
-                stage="refinement",
-                relation=relation.value,
-            )
-            registry.observe(
-                "repro_refine_latency_seconds", elapsed, method=pipeline.name
-            )
-    add_span("refine", stats.refine_seconds, pairs=stats.refined)
-    if reporter is not None:
-        reporter.finish(detail=f"{stats.refined} refined")
-        if latencies is not None and latencies.count:
-            reporter.summary(_latency_line(latencies))
-    return outcomes, stats
-
-
 def _find_touched(outcomes: Sequence[PairOutcome]) -> tuple[set[int], set[int]]:
     """Object ids whose exact geometry was read, derived from outcomes.
 
@@ -229,59 +144,16 @@ def _find_touched(outcomes: Sequence[PairOutcome]) -> tuple[set[int], set[int]]:
     return touched_r, touched_s
 
 
-def _relate_outcomes(
-    predicate: TopologicalRelation,
-    r_objects: Sequence[SpatialObject],
-    s_objects: Sequence[SpatialObject],
-    pairs: Sequence[tuple[int, int]],
-    label: str = "",
-) -> tuple[list[tuple[int, int]], JoinRunStats, set[int], set[int]]:
-    stats = JoinRunStats(method=f"relate[{predicate.value}]")
-    matches: list[tuple[int, int]] = []
-    touched_r: set[int] = set()
-    touched_s: set[int] = set()
-    clock = time.perf_counter
-    registry = get_registry() if metrics_enabled() else None
-    reporter = progress_reporter(label or stats.method, len(pairs))
-    latencies = Histogram() if reporter is not None else None
-    for k, (i, j) in enumerate(pairs):
-        if reporter is not None and (k & 255) == 0:
-            reporter.tick(k, detail=f"{stats.refined} refined")
-        t0 = clock()
-        holds, stage = relate_predicate(predicate, r_objects[i], s_objects[j])
-        elapsed = clock() - t0
-        stats.pairs += 1
-        if stage is Stage.REFINEMENT:
-            stats.refine_seconds += elapsed
-            stats.refined += 1
-            if latencies is not None:
-                latencies.observe(elapsed)
-            touched_r.add(i)
-            touched_s.add(j)
-        else:
-            stats.filter_seconds += elapsed
-            stats.resolved_if += 1
-        if holds:
-            stats.relation_counts[predicate] += 1
-            matches.append((i, j))
-        if registry is not None:
-            registry.inc(
-                "repro_relate_verdicts_total",
-                predicate=predicate.value,
-                stage="refinement" if stage is Stage.REFINEMENT else "if",
-                verdict="yes" if holds else "no",
-            )
-            if stage is Stage.REFINEMENT:
-                registry.observe(
-                    "repro_refine_latency_seconds", elapsed, method=stats.method
-                )
-    add_span("filter", stats.filter_seconds, pairs=len(pairs))
-    add_span("refine", stats.refine_seconds, pairs=stats.refined)
-    if reporter is not None:
-        reporter.finish(detail=f"{stats.refined} refined")
-        if latencies is not None and latencies.count:
-            reporter.summary(_latency_line(latencies))
-    return matches, stats, touched_r, touched_s
+def _find_runner(pipeline: Pipeline, r_objects, s_objects):
+    """A partition runner over the shared find-relation loop."""
+
+    def run(part: Sequence[tuple[int, int]], label: str):
+        outcomes, stats = find_relation_outcomes(
+            pipeline, r_objects, s_objects, part, label=label
+        )
+        return (outcomes, stats, *_find_touched(outcomes))
+
+    return run
 
 
 def _worker_obs_begin() -> None:
@@ -319,7 +191,7 @@ def _worker_obs_export() -> dict | None:
 def _merge_worker_obs(payloads: Sequence[dict | None]) -> None:
     """Fold worker obs payloads into the parent, in partition order.
 
-    ``pool.map`` returns results in task order, so the grafted span
+    ``supervised_map`` returns results in task order, so the grafted span
     forest and the merged registry are deterministic for any worker
     count — the same guarantee the ``(i, j)``-sorted result merge
     gives. Profile sample counters add commutatively and resource
@@ -338,72 +210,34 @@ def _merge_worker_obs(payloads: Sequence[dict | None]) -> None:
             merge_resources([payload["resources"]])
 
 
-def _find_worker(task: tuple[int, int]):
+def _run_partition(part_index: int, fallback: bool):
+    """One partition through the installed runner, under its span."""
+    part = _STATE["parts"][part_index]
+    label = f"{_STATE['label']} part={part_index}"
+    attrs = {"part": part_index, "pairs": len(part)}
+    if fallback:
+        label += " (fallback)"
+        attrs["fallback"] = True
+    with trace("partition", **attrs):
+        return _STATE["run"](part, label)
+
+
+def _worker(task: tuple[int, int]):
     part_index, attempt = task
     maybe_fail_worker(part_index, attempt)
     _worker_obs_begin()
-    part = _STATE["parts"][part_index]
-    with trace("partition", part=part_index, pairs=len(part)):
-        outcomes, stats = _find_outcomes(
-            PIPELINES[_STATE["method"]],
-            _STATE["r_objects"],
-            _STATE["s_objects"],
-            part,
-            label=f"{_STATE['method']} part={part_index}",
-        )
-    touched_r, touched_s = _find_touched(outcomes)
-    return outcomes, stats, touched_r, touched_s, _worker_obs_export()
+    return (*_run_partition(part_index, fallback=False), _worker_obs_export())
 
 
-def _find_fallback(part_index: int):
-    """In-parent re-execution of one poisoned find partition.
+def _fallback(part_index: int):
+    """In-parent re-execution of one poisoned partition.
 
-    Runs the same pure computation as :func:`_find_worker` but without
-    the failpoint boundary and without swapping obs collectors: metrics
+    Runs the same pure computation as :func:`_worker` but without the
+    failpoint boundary and without swapping obs collectors: metrics
     and spans record straight into the parent's registry/tracer, so the
     merged totals still equal a serial run's.
     """
-    part = _STATE["parts"][part_index]
-    with trace("partition", part=part_index, pairs=len(part), fallback=True):
-        outcomes, stats = _find_outcomes(
-            PIPELINES[_STATE["method"]],
-            _STATE["r_objects"],
-            _STATE["s_objects"],
-            part,
-            label=f"{_STATE['method']} part={part_index} (fallback)",
-        )
-    touched_r, touched_s = _find_touched(outcomes)
-    return outcomes, stats, touched_r, touched_s, None
-
-
-def _relate_worker(task: tuple[int, int]):
-    part_index, attempt = task
-    maybe_fail_worker(part_index, attempt)
-    _worker_obs_begin()
-    part = _STATE["parts"][part_index]
-    with trace("partition", part=part_index, pairs=len(part)):
-        matches, stats, touched_r, touched_s = _relate_outcomes(
-            _STATE["predicate"],
-            _STATE["r_objects"],
-            _STATE["s_objects"],
-            part,
-            label=f"relate part={part_index}",
-        )
-    return matches, stats, touched_r, touched_s, _worker_obs_export()
-
-
-def _relate_fallback(part_index: int):
-    """In-parent re-execution of one poisoned relate partition."""
-    part = _STATE["parts"][part_index]
-    with trace("partition", part=part_index, pairs=len(part), fallback=True):
-        matches, stats, touched_r, touched_s = _relate_outcomes(
-            _STATE["predicate"],
-            _STATE["r_objects"],
-            _STATE["s_objects"],
-            part,
-            label=f"relate part={part_index} (fallback)",
-        )
-    return matches, stats, touched_r, touched_s, None
+    return (*_run_partition(part_index, fallback=True), None)
 
 
 # ----------------------------------------------------------------------
@@ -430,55 +264,90 @@ def _partition(
     raise ValueError(f"unknown partition strategy {partition!r}; use 'chunks' or 'tiles'")
 
 
-def _finalize_stats(
-    merged: JoinRunStats,
+def _run_partitioned(
+    run,
+    *,
+    method: str,
+    label: str,
+    stage: str,
+    span_attrs: dict,
     r_objects: Sequence[SpatialObject],
     s_objects: Sequence[SpatialObject],
-    touched_r: set[int],
-    touched_s: set[int],
-) -> JoinRunStats:
+    pairs: list[tuple[int, int]],
+    workers: int | None,
+    chunk_size: int | None,
+    partition: str,
+    tiles_per_dim: int | None,
+    partition_timeout: float | None,
+    max_retries: int | None,
+) -> tuple:
+    """Partition ``pairs``, run each partition through ``run`` and merge.
+
+    ``run(part, label)`` returns ``(rows, stats, touched_r, touched_s)``
+    for one partition; the merge comes back in the field order of
+    :class:`ParallelFindRun` / :class:`ParallelRelateRun`. Without a
+    pool (``workers <= 1``, a trivially small stream, no ``fork``) the
+    whole stream is one in-process partition. Otherwise a supervised
+    fork pool runs the partitions with ``run`` installed in ``_STATE``
+    for inheritance: each attempt has a ``partition_timeout`` deadline,
+    failures retry at most ``max_retries`` times, and a partition that
+    exhausts its retries re-executes in this process. ``_STATE`` stays
+    populated until every path — normal, retry, timeout, fallback — has
+    finished, and is cleared on all of them. Rows come back sorted by ``(i, j)``.
+    """
+    if workers is None:
+        workers = default_workers()
+    start = time.perf_counter()
+    reset_access_tracking(r_objects)
+    reset_access_tracking(s_objects)
+
+    if workers <= 1 or len(pairs) < 2 or not fork_available():
+        with trace(f"parallel_{stage}", **span_attrs, workers=1, partitions=1):
+            rows, stats, touched_r, touched_s = run(pairs, f"{label} serial")
+        workers, partitions, supervision = 1, 1, None
+    else:
+        parts = _partition(
+            r_objects, s_objects, pairs, workers, chunk_size, partition, tiles_per_dim
+        )
+        partitions = len(parts)
+        _STATE.update(run=run, label=label, parts=parts)
+        try:
+            with trace(
+                f"parallel_{stage}", **span_attrs, workers=workers, partitions=partitions
+            ):
+                part_results, supervision = supervised_map(
+                    _worker,
+                    partitions,
+                    workers=workers,
+                    serial_runner=_fallback,
+                    stage=stage,
+                    partition_timeout=partition_timeout,
+                    max_retries=max_retries,
+                )
+                _merge_worker_obs([obs for *_, obs in part_results])
+        finally:
+            _STATE.clear()
+        if metrics_enabled():
+            registry = get_registry()
+            for part in parts:
+                # Pairs per partition: the skew signal of the fan-out.
+                registry.observe("repro_partition_pairs", len(part), method=method)
+        rows = []
+        touched_r: set[int] = set()
+        touched_s: set[int] = set()
+        stats = JoinRunStats(method=method).merge(*(r[1] for r in part_results))
+        for part_rows, _, part_r, part_s, _ in part_results:
+            rows.extend(part_rows)
+            touched_r.update(part_r)
+            touched_s.update(part_s)
+    rows.sort(key=lambda t: (t[0], t[1]))
     # Workers share one object universe, so the summed access counters
     # from merge() overcount; overwrite them with deduplicated values.
-    merged.r_objects_total = len(r_objects)
-    merged.s_objects_total = len(s_objects)
-    merged.r_objects_accessed = len(touched_r)
-    merged.s_objects_accessed = len(touched_s)
-    return merged
-
-
-def _run_pool(
-    worker,
-    serial_runner,
-    parts: list,
-    state: dict,
-    workers: int,
-    *,
-    stage: str,
-    partition_timeout: float | None = None,
-    max_retries: int | None = None,
-) -> tuple[list, SupervisionReport]:
-    """Fork a supervised pool with ``state`` installed for inheritance.
-
-    Partitions run under per-attempt deadlines with bounded retries; a
-    partition that exhausts its retries is re-executed serially in this
-    process via ``serial_runner`` (which reads the same installed
-    state, so ``_STATE`` stays populated until every path — normal,
-    retry, timeout, fallback — has finished, and is cleared on all of
-    them).
-    """
-    _STATE.update(state, parts=parts)
-    try:
-        return supervised_map(
-            worker,
-            len(parts),
-            workers=workers,
-            serial_runner=serial_runner,
-            stage=stage,
-            partition_timeout=partition_timeout,
-            max_retries=max_retries,
-        )
-    finally:
-        _STATE.clear()
+    stats.r_objects_total = len(r_objects)
+    stats.s_objects_total = len(s_objects)
+    stats.r_objects_accessed = len(touched_r)
+    stats.s_objects_accessed = len(touched_s)
+    return rows, stats, time.perf_counter() - start, workers, partitions, supervision
 
 
 def run_find_relation_parallel(
@@ -510,70 +379,22 @@ def run_find_relation_parallel(
     name = pipeline if isinstance(pipeline, str) else pipeline.name
     if name not in PIPELINES:
         raise KeyError(f"unknown pipeline {name!r}; available: {list(PIPELINES)}")
-    pairs = list(pairs)
-    if workers is None:
-        workers = default_workers()
-
-    start = time.perf_counter()
-    reset_access_tracking(r_objects)
-    reset_access_tracking(s_objects)
-
-    if workers <= 1 or len(pairs) < 2 or not fork_available():
-        with trace("parallel_find", method=name, workers=1, partitions=1):
-            outcomes, stats = _find_outcomes(
-                PIPELINES[name], r_objects, s_objects, pairs, label=f"{name} serial"
-            )
-        touched_r, touched_s = _find_touched(outcomes)
-        outcomes.sort(key=lambda t: (t[0], t[1]))
-        return ParallelFindRun(
-            results=outcomes,
-            stats=_finalize_stats(stats, r_objects, s_objects, touched_r, touched_s),
-            wall_seconds=time.perf_counter() - start,
-            workers=1,
-            partitions=1,
-        )
-
-    parts = _partition(
-        r_objects, s_objects, pairs, workers, chunk_size, partition, tiles_per_dim
-    )
-    state = {"method": name, "r_objects": list(r_objects), "s_objects": list(s_objects)}
-    with trace(
-        "parallel_find", method=name, workers=workers, partitions=len(parts)
-    ):
-        part_results, supervision = _run_pool(
-            _find_worker,
-            _find_fallback,
-            parts,
-            state,
-            workers,
-            stage="find",
-            partition_timeout=partition_timeout,
-            max_retries=max_retries,
-        )
-        _merge_worker_obs([obs for *_, obs in part_results])
-    if metrics_enabled():
-        registry = get_registry()
-        for part in parts:
-            # Pairs per partition: the skew signal of the fan-out.
-            registry.observe("repro_partition_pairs", len(part), method=name)
-
-    outcomes: list[PairOutcome] = []
-    touched_r: set[int] = set()
-    touched_s: set[int] = set()
-    merged = JoinRunStats(method=name).merge(*(st for _, st, _, _, _ in part_results))
-    for part_outcomes, _, part_r, part_s, _ in part_results:
-        outcomes.extend(part_outcomes)
-        touched_r.update(part_r)
-        touched_s.update(part_s)
-    outcomes.sort(key=lambda t: (t[0], t[1]))
-    return ParallelFindRun(
-        results=outcomes,
-        stats=_finalize_stats(merged, r_objects, s_objects, touched_r, touched_s),
-        wall_seconds=time.perf_counter() - start,
+    return ParallelFindRun(*_run_partitioned(
+        _find_runner(PIPELINES[name], r_objects, s_objects),
+        method=name,
+        label=name,
+        stage="find",
+        span_attrs={"method": name},
+        r_objects=r_objects,
+        s_objects=s_objects,
+        pairs=list(pairs),
         workers=workers,
-        partitions=len(parts),
-        supervision=supervision,
-    )
+        chunk_size=chunk_size,
+        partition=partition,
+        tiles_per_dim=tiles_per_dim,
+        partition_timeout=partition_timeout,
+        max_retries=max_retries,
+    ))
 
 
 def run_relate_parallel(
@@ -595,79 +416,22 @@ def run_relate_parallel(
     by ``(i, j)``. Same fallback and supervision rules as
     :func:`run_find_relation_parallel`.
     """
-    pairs = list(pairs)
-    if workers is None:
-        workers = default_workers()
-
-    start = time.perf_counter()
-    reset_access_tracking(r_objects)
-    reset_access_tracking(s_objects)
-
-    if workers <= 1 or len(pairs) < 2 or not fork_available():
-        with trace("parallel_relate", predicate=predicate.value, workers=1):
-            matches, stats, touched_r, touched_s = _relate_outcomes(
-                predicate, r_objects, s_objects, pairs, label="relate serial"
-            )
-        matches.sort()
-        return ParallelRelateRun(
-            matches=matches,
-            stats=_finalize_stats(stats, r_objects, s_objects, touched_r, touched_s),
-            wall_seconds=time.perf_counter() - start,
-            workers=1,
-            partitions=1,
-        )
-
-    parts = _partition(
-        r_objects, s_objects, pairs, workers, chunk_size, partition, tiles_per_dim
-    )
-    state = {
-        "predicate": predicate,
-        "r_objects": list(r_objects),
-        "s_objects": list(s_objects),
-    }
-    with trace(
-        "parallel_relate",
-        predicate=predicate.value,
+    return ParallelRelateRun(*_run_partitioned(
+        functools.partial(relate_outcomes, predicate, r_objects, s_objects),
+        method=f"relate[{predicate.value}]",
+        label="relate",
+        stage="relate",
+        span_attrs={"predicate": predicate.value},
+        r_objects=r_objects,
+        s_objects=s_objects,
+        pairs=list(pairs),
         workers=workers,
-        partitions=len(parts),
-    ):
-        part_results, supervision = _run_pool(
-            _relate_worker,
-            _relate_fallback,
-            parts,
-            state,
-            workers,
-            stage="relate",
-            partition_timeout=partition_timeout,
-            max_retries=max_retries,
-        )
-        _merge_worker_obs([obs for *_, obs in part_results])
-    if metrics_enabled():
-        registry = get_registry()
-        for part in parts:
-            registry.observe(
-                "repro_partition_pairs", len(part), method=f"relate[{predicate.value}]"
-            )
-
-    matches: list[tuple[int, int]] = []
-    touched_r: set[int] = set()
-    touched_s: set[int] = set()
-    merged = JoinRunStats(method=f"relate[{predicate.value}]").merge(
-        *(st for _, st, _, _, _ in part_results)
-    )
-    for part_matches, _, part_r, part_s, _ in part_results:
-        matches.extend(part_matches)
-        touched_r.update(part_r)
-        touched_s.update(part_s)
-    matches.sort()
-    return ParallelRelateRun(
-        matches=matches,
-        stats=_finalize_stats(merged, r_objects, s_objects, touched_r, touched_s),
-        wall_seconds=time.perf_counter() - start,
-        workers=workers,
-        partitions=len(parts),
-        supervision=supervision,
-    )
+        chunk_size=chunk_size,
+        partition=partition,
+        tiles_per_dim=tiles_per_dim,
+        partition_timeout=partition_timeout,
+        max_retries=max_retries,
+    ))
 
 
 __all__ = [

@@ -45,6 +45,7 @@ API_VERSION = WIRE_VERSION
 #: the execution layer: adding an engine mode does not silently widen
 #: the wire API.
 JOIN_METHODS = ("ST2", "OP2", "APRIL", "P+C")
+#: ``"batch"`` stays for v1 compatibility; the engine runs it as serial.
 JOIN_MODES = ("auto", "serial", "batch", "parallel", "disk")
 PAYLOAD_CODECS = ("varint", "raw")
 

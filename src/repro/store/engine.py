@@ -1,14 +1,17 @@
 """The warm-cache join engine: one front door for every execution mode.
 
 Before PR 4 each way of running a join had its own entry point and its
-own return shape — ``TopologyJoin`` for in-memory serial/parallel runs,
-``run_find_relation_batch`` for the vectorised path, and
-``DiskPartitionedJoin`` for out-of-core PBSM. The :class:`Engine`
+own return shape — ``TopologyJoin`` for in-memory serial/parallel runs
+and ``DiskPartitionedJoin`` for out-of-core PBSM. The :class:`Engine`
 subsumes them: :meth:`Engine.join` accepts datasets in any form (index
 directories, ``.wkt``/``.geojson`` files, polygon lists, or
 :class:`~repro.store.dataset.SpatialDataset` objects), picks the
 execution mode from one argument, and always returns the same
-:class:`~repro.join.run.JoinRun` envelope.
+:class:`~repro.join.run.JoinRun` envelope. Serial and parallel runs
+share one find-relation loop and one relate_p loop
+(:mod:`repro.join.pipeline`); ``"batch"`` is accepted as an alias of
+``"serial"`` (the frozen v1 wire schema lists it) and is mapped to it on
+entry, so a batch request reports ``run.mode == "serial"``.
 
 The engine memoises the expensive intermediates in bounded LRU caches:
 
@@ -72,7 +75,8 @@ from repro.store.dataset import (
 )
 from repro.topology.de9im import TopologicalRelation
 
-#: Execution modes :meth:`Engine.join` understands.
+#: Execution modes :meth:`Engine.join` understands; ``"batch"`` is an
+#: alias of ``"serial"``.
 MODES = ("auto", "serial", "batch", "parallel", "disk")
 
 
@@ -109,6 +113,13 @@ class _LRU:
 
     def clear(self) -> None:
         self._data.clear()
+
+
+def _resolve_mode(mode: str) -> str:
+    """Validate ``mode`` and fold the ``"batch"`` alias into ``"serial"``."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; available: {list(MODES)}")
+    return "serial" if mode == "batch" else mode
 
 
 def _grid_identity(grid: RasterGrid) -> tuple:
@@ -540,7 +551,7 @@ class Engine:
         exceeds one (``workers=None`` resolves through
         ``default_workers()`` first, so a 1-CPU machine runs serial).
 
-        ``"batch"`` uses the vectorised P+C runner; ``"disk"`` runs the
+        ``"batch"`` is an alias of ``"serial"``; ``"disk"`` runs the
         out-of-core PBSM join (``workdir`` holds the partition files; a
         temporary directory when omitted). ``predicate`` switches from
         find-relation to a relate_p join.
@@ -556,8 +567,7 @@ class Engine:
         self._check_open()
         if method not in PIPELINES:
             raise KeyError(f"unknown method {method!r}; available: {list(PIPELINES)}")
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; available: {list(MODES)}")
+        mode = _resolve_mode(mode)
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         from repro.resilience.quarantine import QuarantineReport
@@ -586,16 +596,10 @@ class Engine:
                 warm=self._april_warm(rd, grid) and self._april_warm(sd, grid),
                 needs_april=needs_april,
             )
-            # Auto arbitrates serial vs batch vs parallel (serial first,
-            # so calibration ties — like bench-seeded profiles that carry
-            # serial's per-pair cost for batch — keep the historical
-            # pick); disk joins the race only above the profile's pair
-            # threshold. Batch implements the P+C find-relation pipeline
-            # only, so other methods and relate_p joins keep the old set.
-            candidates = ["serial"]
-            if predicate is None and method == "P+C":
-                candidates.append("batch")
-            candidates.append("parallel")
+            # Auto arbitrates serial vs parallel (serial first, so
+            # calibration ties keep the historical pick); disk joins the
+            # race only above the profile's pair threshold.
+            candidates = ["serial", "parallel"]
             if predicate is None:
                 candidates.append("disk")
             decision = self._decide_auto(features, candidates)
@@ -689,8 +693,7 @@ class Engine:
         from repro.parallel.executor import resolve_workers
 
         self._check_open()
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; available: {list(MODES)}")
+        mode = _resolve_mode(mode)
         if mode == "disk":
             raise ValueError(
                 "execute() runs in-memory modes only; disk joins re-partition "
@@ -708,92 +711,47 @@ class Engine:
                 warm=True,  # objects arrive prepared; nothing left to rasterise
                 needs_april=predicate is not None or PIPELINES[method].uses_april,
             )
-            candidates = ["serial"]
-            if predicate is None and method == "P+C":
-                candidates.append("batch")
-            candidates.append("parallel")
-            decision = self._decide_auto(features, candidates)
+            decision = self._decide_auto(features, ["serial", "parallel"])
             mode = decision.mode
             workers = effective
-        effective = 1 if mode == "serial" else workers
-
-        if predicate is not None:
-            if mode not in ("serial", "parallel"):
-                raise ValueError(f"relate_p joins support serial/parallel, not {mode!r}")
-            relate_run = run_relate_parallel(
-                predicate,
-                r_objects,
-                s_objects,
-                pairs,
-                workers=effective,
-                chunk_size=chunk_size,
-                partition=partition,
-                tiles_per_dim=tiles_per_dim,
-                partition_timeout=partition_timeout,
-                max_retries=max_retries,
+        opts = dict(
+            workers=1 if mode == "serial" else workers,
+            chunk_size=chunk_size,
+            partition=partition,
+            tiles_per_dim=tiles_per_dim,
+            partition_timeout=partition_timeout,
+            max_retries=max_retries,
+        )
+        if predicate is None:
+            found = run_find_relation_parallel(
+                method, r_objects, s_objects, pairs, **opts
             )
             run = JoinRun(
                 results=[
-                    JoinResult(i, j, predicate, None) for i, j in relate_run.matches
+                    JoinResult(i, j, relation, filtered)
+                    for i, j, relation, filtered in found.results
+                    if include_disjoint or relation is not TopologicalRelation.DISJOINT
                 ],
-                stats=relate_run.stats,
-                method=relate_run.stats.method,
+                stats=found.stats,
+                method=method,
+                mode=mode,
+                wall_seconds=found.wall_seconds,
+                workers=found.workers,
+                partitions=found.partitions,
+            )
+        else:
+            related = run_relate_parallel(predicate, r_objects, s_objects, pairs, **opts)
+            run = JoinRun(
+                results=[JoinResult(i, j, predicate, None) for i, j in related.matches],
+                stats=related.stats,
+                method=related.stats.method,
                 mode=mode,
                 kind="relate",
                 predicate=predicate,
-                wall_seconds=relate_run.wall_seconds,
-                workers=relate_run.workers,
-                partitions=relate_run.partitions,
+                wall_seconds=related.wall_seconds,
+                workers=related.workers,
+                partitions=related.partitions,
             )
-            if decision is not None:
-                self._observe_auto(decision, run)
-            self._attach_resources(run)
-            return run
-
-        if mode == "batch":
-            from repro.join.batch import run_find_relation_batch_outcomes
-
-            if method != "P+C":
-                raise ValueError(
-                    f"batch mode implements the P+C pipeline only, not {method!r}"
-                )
-            start = time.perf_counter()
-            outcomes, stats = run_find_relation_batch_outcomes(
-                r_objects, s_objects, pairs
-            )
-            wall = time.perf_counter() - start
-            run_workers, partitions = 1, 1
-        else:
-            find_run = run_find_relation_parallel(
-                method,
-                r_objects,
-                s_objects,
-                pairs,
-                workers=effective,
-                chunk_size=chunk_size,
-                partition=partition,
-                tiles_per_dim=tiles_per_dim,
-                partition_timeout=partition_timeout,
-                max_retries=max_retries,
-            )
-            outcomes, stats = find_run.results, find_run.stats
-            wall = find_run.wall_seconds
-            run_workers, partitions = find_run.workers, find_run.partitions
-
-        results = [
-            JoinResult(i, j, relation, filtered)
-            for i, j, relation, filtered in outcomes
-            if include_disjoint or relation is not TopologicalRelation.DISJOINT
-        ]
-        run = JoinRun(
-            results=results,
-            stats=stats,
-            method=method,
-            mode=mode,
-            wall_seconds=wall,
-            workers=run_workers,
-            partitions=partitions,
-        )
         if decision is not None:
             self._observe_auto(decision, run)
         self._attach_resources(run)

@@ -167,19 +167,17 @@ class TestCliObservability:
         assert "wrote calibration profile" in out
         assert "auto-mode preview" in err
 
-        # The fresh profile measures batch on its own (not folded into
-        # serial), and the preview scores the full warm-find candidate
-        # set — its decisions may name batch/disk, not just the old
-        # ("serial", "parallel") default that hid the batch row.
+        # Batch is an alias of serial, so the profile carries no row for
+        # it, and the preview scores the full warm-find candidate set.
         profile = json.loads(profile_path.read_text())
-        assert "batch" in profile["modes"]
-        assert profile["modes"]["batch"] != profile["modes"]["serial"]
+        assert "batch" not in profile["modes"]
+        assert {"serial", "parallel"} <= set(profile["modes"])
         previewed = {
             line.rsplit("-> ", 1)[1].strip()
             for line in err.splitlines()
             if "pairs ->" in line
         }
-        assert previewed <= {"serial", "batch", "parallel", "disk"}
+        assert previewed <= {"serial", "parallel", "disk"}
         assert previewed
 
         log_path = tmp_path / "runs.jsonl"

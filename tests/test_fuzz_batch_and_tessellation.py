@@ -1,46 +1,11 @@
-"""Extra fuzzing: bulk MBR classification and tessellation topology."""
+"""Extra fuzzing: tessellation topology."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.datasets.synthetic import generate_tessellation
-from repro.filters.mbr import classify_mbr_pair
-from repro.geometry import Box, Polygon
-from repro.join.batch import _CASE_CODES, classify_mbr_pairs_bulk
-from repro.join.objects import SpatialObject
+from repro.geometry import Box
 from repro.topology import TopologicalRelation as T, most_specific_relation, relate
-
-
-def box_strategy():
-    return st.builds(
-        lambda x, y, w, h: Box(x, y, x + w, y + h),
-        st.integers(0, 40),
-        st.integers(0, 40),
-        st.integers(0, 15),
-        st.integers(0, 15),
-    )
-
-
-class _FakeObject:
-    """Just enough of SpatialObject for the bulk classifier."""
-
-    def __init__(self, box):
-        self.box = box
-
-
-class TestBulkClassifierFuzz:
-    @given(st.lists(box_strategy(), min_size=1, max_size=25),
-           st.lists(box_strategy(), min_size=1, max_size=25))
-    @settings(max_examples=150)
-    def test_bulk_matches_scalar(self, r_boxes, s_boxes):
-        r_objects = [_FakeObject(b) for b in r_boxes]
-        s_objects = [_FakeObject(b) for b in s_boxes]
-        pairs = [(i, j) for i in range(len(r_boxes)) for j in range(len(s_boxes))]
-        codes = classify_mbr_pairs_bulk(r_objects, s_objects, pairs)
-        for k, (i, j) in enumerate(pairs):
-            assert int(codes[k]) == _CASE_CODES[classify_mbr_pair(r_boxes[i], s_boxes[j])]
 
 
 class TestTessellationTopologyFuzz:

@@ -31,25 +31,20 @@ from repro.store import Engine
 def make_profile(
     *,
     serial_pp=2e-6,
-    batch_pp=None,
     parallel_pp=4e-6,
     parallel_startup=0.04,
     cpu=None,
     measured_workers=2,
 ):
-    """A synthetic profile; defaults model this repo's 1-core box where
-    the parallel path costs more per pair than serial and batch ties
-    serial (the bench-seeded shape)."""
+    """A synthetic profile; defaults model a 1-core box where the
+    parallel path costs more per pair than serial (the bench-seeded
+    shape)."""
     machine = CalibrationProfile.machine_fingerprint()
     if cpu is not None:
         machine["cpu_count"] = cpu
     return CalibrationProfile(
         modes={
             "serial": ModeCost(startup=0.0, per_pair=serial_pp),
-            "batch": ModeCost(
-                startup=0.0,
-                per_pair=serial_pp if batch_pp is None else batch_pp,
-            ),
             "parallel": ModeCost(startup=parallel_startup, per_pair=parallel_pp),
         },
         machine=machine,
@@ -109,6 +104,34 @@ class TestProfilePersistence:
         path.write_text("{not json")
         with pytest.raises(CalibrationError, match="corrupt"):
             CalibrationProfile.load(path)
+
+    def test_version_1_profile_with_batch_row_loads(self, tmp_path, inputs):
+        # Version-1 profiles written while batch was a mode of its own
+        # carry a "batch" row — here the cheapest row by far. Batch now
+        # runs as serial, so the row is dropped on load and neither the
+        # prediction table nor any auto decision may name it.
+        payload = make_profile().to_dict()
+        assert payload["profile_version"] == PROFILE_VERSION == 1
+        payload["modes"]["batch"] = {"startup": 0.0, "per_pair": 1e-12}
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(payload))
+        loaded = CalibrationProfile.load(path)
+        assert set(loaded.modes) == {"serial", "parallel"}
+        allowed = {"serial", "parallel", "disk"}
+        model = CostModel(loaded)
+        for pairs in (100, 10_000, 1_000_000):
+            f = features(pairs, workers=4, cpu=1)
+            assert set(model.predictions(f)) <= allowed
+            decision = model.decide(f, ["serial", "batch", "parallel", "disk"])
+            assert decision.mode in allowed
+        districts, blobs = inputs
+        engine = Engine(calibration=path)
+        for method in ("P+C", "APRIL"):
+            run = engine.join(districts, blobs, grid_order=9, method=method, workers=4)
+            meta = run.meta["cost_model"]
+            assert meta["source"] == "calibration"
+            assert meta["decision"] in allowed and run.mode in allowed
+            assert set(meta["predicted_seconds"]) <= allowed
 
     def test_must_cover_serial_and_parallel(self):
         payload = make_profile().to_dict()
@@ -183,7 +206,7 @@ class TestDecision:
         assert meta["requested"] == "auto"
         assert meta["decision"] == "serial"
         assert meta["source"] == "calibration"
-        assert set(meta["predicted_seconds"]) >= {"serial", "parallel", "batch"}
+        assert set(meta["predicted_seconds"]) == {"serial", "parallel"}
         assert meta["features"]["pairs"] == 500.0
 
     def test_fallback_rule(self):
@@ -212,11 +235,12 @@ class TestSeedFromBench:
         # A 0.755x "speedup" trajectory must route auto to serial.
         decision = CostModel(profile).decide(features(7148, workers=4, cpu=1))
         assert decision.mode == "serial"
-        # An entry without batch_seconds (older trajectory) falls back
-        # to serial's per-pair cost — the tie serial wins.
-        assert profile.modes["batch"].per_pair == profile.modes["serial"].per_pair
+        assert set(profile.modes) == {"serial", "parallel"}
 
-    def test_seeds_batch_from_its_own_timing(self, tmp_path):
+    def test_recorded_batch_timing_seeds_no_batch_row(self, tmp_path):
+        # Trajectories recorded while batch was a runner of its own carry
+        # ``batch_seconds``; batch now runs as serial, so the field is
+        # ignored and auto can only pick a mode that exists.
         import os
 
         cpu = os.cpu_count() or 1
@@ -227,15 +251,12 @@ class TestSeedFromBench:
         ]
         (tmp_path / "BENCH_parallel.json").write_text(json.dumps(bench))
         profile = CalibrationProfile.seed_from_bench(tmp_path)
-        assert profile.modes["batch"].per_pair == pytest.approx(0.26 / 7148)
-        assert {s["mode"] for s in profile.samples} == {
-            "serial", "batch", "parallel"
-        }
-        # With batch measured 3x cheaper, auto can finally pick it.
+        assert set(profile.modes) == {"serial", "parallel"}
+        assert {s["mode"] for s in profile.samples} == {"serial", "parallel"}
         decision = CostModel(profile).decide(
             features(7148, workers=4, cpu=1), ["serial", "batch", "parallel"]
         )
-        assert decision.mode == "batch"
+        assert decision.mode == "serial"
 
     def test_empty_trajectory_raises(self, tmp_path):
         with pytest.raises(CalibrationError, match="no usable"):
@@ -341,40 +362,6 @@ class TestEngineAuto:
         )
         assert run.mode == "serial"
         assert run.meta["cost_model"]["features"]["pairs"] == float(len(pairs))
-
-    def test_auto_picks_batch_when_profile_favors_it(self, inputs):
-        # A profile where the vectorised P+C runner is 10x cheaper per
-        # pair must route auto to batch — and the batch rows must stay
-        # bit-identical to serial's.
-        districts, blobs = inputs
-        engine = Engine(calibration=make_profile(cpu=1, batch_pp=2e-7))
-        run = engine.join(districts, blobs, grid_order=9, workers=4)
-        assert run.mode == "batch"
-        meta = run.meta["cost_model"]
-        assert meta["source"] == "calibration"
-        assert meta["predicted_seconds"]["batch"] < (
-            meta["predicted_seconds"]["serial"]
-        )
-        serial = engine.join(districts, blobs, grid_order=9, mode="serial")
-        assert _rows(run) == _rows(serial)
-
-    def test_auto_batch_tie_resolves_serial_first(self):
-        # Bench-seeded profiles carry serial's per-pair cost for batch;
-        # the tie must keep the historical serial pick.
-        model = CostModel(make_profile(cpu=1))
-        decision = model.decide(
-            features(100_000, cpu=1), ["serial", "batch", "parallel"]
-        )
-        assert decision.mode == "serial"
-        assert decision.predicted["batch"] == decision.predicted["serial"]
-
-    def test_auto_batch_excluded_for_other_methods(self, inputs):
-        # Batch implements only the P+C find-relation pipeline; with a
-        # batch-favoring profile an APRIL-method join must not pick it.
-        districts, blobs = inputs
-        engine = Engine(calibration=make_profile(cpu=1, batch_pp=2e-7))
-        run = engine.join(districts, blobs, grid_order=9, method="APRIL")
-        assert run.mode == "serial"
 
     def test_library_engine_never_discovers_profiles(self, tmp_path, monkeypatch):
         # Bare Engine() must stay deterministic even when a profile

@@ -45,7 +45,8 @@ class TestModes:
         assert [(l.r_index, l.s_index, l.relation) for l in disk.results] == [
             (l.r_index, l.s_index, l.relation) for l in serial.results
         ]
-        assert serial.mode == "serial" and batch.mode == "batch"
+        # "batch" is an alias of serial: it runs, and reports, as serial.
+        assert serial.mode == "serial" and batch.mode == "serial"
         assert parallel.mode == "parallel" and disk.mode == "disk"
         assert {type(r) for r in (serial, batch, parallel, disk)} == {JoinRun}
 
@@ -79,10 +80,13 @@ class TestModes:
             engine.join(districts, blobs, grid_order=9, workers=2).mode == "parallel"
         )
 
-    def test_batch_rejects_other_methods(self, inputs):
+    def test_batch_with_st2_returns_serial_st2_rows(self, inputs):
         districts, blobs = inputs
-        with pytest.raises(ValueError, match="P\\+C"):
-            Engine().join(districts, blobs, grid_order=9, mode="batch", method="ST2")
+        engine = Engine()
+        batch = engine.join(districts, blobs, grid_order=9, mode="batch", method="ST2")
+        serial = engine.join(districts, blobs, grid_order=9, mode="serial", method="ST2")
+        assert batch.mode == "serial" and batch.method == "ST2"
+        assert batch.results and _rows(batch) == _rows(serial)
 
     def test_unknown_mode_rejected(self, inputs):
         districts, blobs = inputs
